@@ -70,19 +70,27 @@ class SweepResult:
 def gamma_sweep(A, x, x_star, lo=1e-6, hi=1e6, count=49):
     """Evaluate C_{A,gamma}(x, x*) on a log-spaced gamma grid.
 
+    The whole grid goes through one call of the resolvent kernel.
     Classifies both grid ends: convergence when the five values nearest
     the end have range below 1e-6*(1+|v|), divergence when they exceed
     1e9 moving upward toward the end, undetermined otherwise.
     """
-    if not (0.0 < lo < hi):
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError(f"need 0 < lo < hi < inf, got [{lo}, {hi}]")
     if count < _WINDOW:
         raise ValueError(f"count must be at least {_WINDOW}, got {count}")
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
 
     gammas = np.logspace(math.log10(lo), math.log10(hi), count)
-    values = np.array([carlier_bound(A, g, x, x_star) for g in gammas])
+    column = gammas[:, None]
+    z = x + column * x_star
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        bad = float(gammas[~finite][0])
+        raise ValueError(f"z = x + gamma*x_star has non-finite entries at gamma = {bad!r}")
+    d = x - A.resolvent_kernel(column, z)
+    values = np.vecdot(d, d) / gammas
     idx = int(np.argmax(values))
 
     return SweepResult(

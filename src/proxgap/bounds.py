@@ -7,10 +7,14 @@ and A = df:
 
 with G_f(x, x*) = f(x) + f*(x*) - <x, x*> and
 C_{A,gamma}(x, x*) = ||x - J_{gamma A}(x + gamma x*)||^2 / gamma.
+
+Each public function validates its inputs once and hands the validated
+arrays to the private helpers below, which trust them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +29,10 @@ def gap(f, x, x_star):
     Nonnegative for proper lsc convex f; zero exactly on the graph of df.
     May be +inf when either argument leaves the corresponding domain.
     """
-    x = as_vector(x, f.dim, "x")
-    x_star = as_vector(x_star, f.dim, "x_star")
+    return _gap(f, as_vector(x, f.dim, "x"), as_vector(x_star, f.dim, "x_star"))
+
+
+def _gap(f, x, x_star):
     fx = f.value(x)
     fs = f.conjugate(x_star)
     if fx == INF or fs == INF:
@@ -38,6 +44,8 @@ def _check_gamma(gamma):
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     return gamma
 
 
@@ -50,10 +58,7 @@ def carlier_bound(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    z = x + gamma * x_star
-    a = A.resolvent(gamma, z)
-    d = x - a
-    return float(np.dot(d, d)) / gamma
+    return _carlier(_minty(A.resolvent, gamma, x, x_star))
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,18 @@ def minty_decompose(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
+    return _minty(A.resolvent, gamma, x, x_star)
+
+
+def _minty(resolvent, gamma, x, x_star):
     z = x + gamma * x_star
-    a = A.resolvent(gamma, z)
-    a_star = (z - a) / gamma
-    return MintyPair(x=x, x_star=x_star, gamma=gamma, a=a, a_star=a_star)
+    a = resolvent(gamma, z)
+    return MintyPair(x=x, x_star=x_star, gamma=gamma, a=a, a_star=(z - a) / gamma)
+
+
+def _carlier(pair):
+    d = pair.x - pair.a
+    return float(np.dot(d, d)) / pair.gamma
 
 
 def dual_carlier_check(A, gamma, x, x_star):
@@ -90,8 +103,10 @@ def dual_carlier_check(A, gamma, x, x_star):
     Returns (lhs, rhs).
     """
     gamma = _check_gamma(gamma)
-    lhs = carlier_bound(A, gamma, x, x_star)
-    rhs = carlier_bound(A.inverse(), 1.0 / gamma, x_star, x)
+    x = as_vector(x, A.dim, "x")
+    x_star = as_vector(x_star, A.dim, "x_star")
+    lhs = _carlier(_minty(A.resolvent, gamma, x, x_star))
+    rhs = _carlier(_minty(A.inverse().resolvent, _check_gamma(1.0 / gamma), x_star, x))
     return lhs, rhs
 
 
@@ -103,8 +118,12 @@ def fitzpatrick_bound(entry, x, x_star):
     """
     if entry.fitzpatrick_gap is None:
         return None
-    x = as_vector(x, entry.dim, "x")
-    x_star = as_vector(x_star, entry.dim, "x_star")
+    return _fitzpatrick(entry, as_vector(x, entry.dim, "x"), as_vector(x_star, entry.dim, "x_star"))
+
+
+def _fitzpatrick(entry, x, x_star):
+    if entry.fitzpatrick_gap is None:
+        return None
     return float(entry.fitzpatrick_gap(x, x_star))
 
 
@@ -114,11 +133,11 @@ def pair_inequality_check(f, x, x_star, y, y_star):
     Equality holds exactly when y* is in df(x) and x* is in df(y).
     Returns (lhs, rhs).
     """
-    lhs = gap(f, x, x_star) + gap(f, y, y_star)
     x = as_vector(x, f.dim, "x")
     x_star = as_vector(x_star, f.dim, "x_star")
     y = as_vector(y, f.dim, "y")
     y_star = as_vector(y_star, f.dim, "y_star")
+    lhs = _gap(f, x, x_star) + _gap(f, y, y_star)
     rhs = inner(y - x, x_star - y_star)
     return lhs, rhs
 
@@ -178,20 +197,16 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
     x = as_vector(x, f.dim, "x")
     x_star = as_vector(x_star, f.dim, "x_star")
 
-    g = gap(f, x, x_star)
-    fitz = fitzpatrick_bound(f, x, x_star)
-
-    z = x + gamma * x_star
-    a = f.prox(gamma, z)
-    d = x - a
-    carlier = float(np.dot(d, d)) / gamma
+    g = _gap(f, x, x_star)
+    fitz = _fitzpatrick(f, x, x_star)
+    pair = _minty(f.prox, gamma, x, x_star)
 
     gap_zero = bool(g <= membership_scale(tol, x, x_star))
 
-    u = (z - a) / gamma
+    a, u = pair.a, pair.a_star
     sharp = (
-        gap(f, a, x_star) <= membership_scale(tol, a, x_star)
-        and gap(f, x, u) <= membership_scale(tol, x, u)
+        _gap(f, a, x_star) <= membership_scale(tol, a, x_star)
+        and _gap(f, x, u) <= membership_scale(tol, x, u)
     )
 
     return BoundReport(
@@ -200,7 +215,7 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
         gamma=gamma,
         gap=g,
         fitzpatrick=fitz,
-        carlier=carlier,
+        carlier=_carlier(pair),
         gap_zero=gap_zero,
         gap_equals_carlier=bool(sharp),
     )

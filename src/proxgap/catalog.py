@@ -8,6 +8,18 @@ these formulas.
 
 Prox convention: prox_{gamma f}(z) is the minimizer of
 0.5*||p - z||^2 + gamma*f(p), equivalently the resolvent J_{gamma df}(z).
+
+Kernel contract.  Every prox, conjugate prox and resolvent exists once,
+as an array kernel ``kernel(gamma, z)`` (the ``*_kernel`` fields).  A
+kernel trusts its input: ``z`` is a finite float64 array, either one
+point of shape ``(dim,)`` with a float ``gamma > 0``, or a stack of
+points of shape ``(m, dim)`` with ``gamma`` a float or an ``(m, 1)``
+column of positive floats; the result has the shape of ``z`` and row i
+depends only on row i of the inputs.  Kernels validate nothing and do
+not check that their output is finite.  The public maps ``prox``,
+``conjugate_prox`` and ``resolvent`` are the kernels behind one
+``as_vector`` call on ``z`` (see :func:`_validated`); drivers that call a
+kernel directly check finiteness of their stacked inputs themselves.
 """
 
 from __future__ import annotations
@@ -40,6 +52,30 @@ class SetSpec:
     closure_contains: Callable[[np.ndarray], bool]
 
 
+def _validated(kernel, dim, name):
+    """The public (gamma, point) map of a kernel: ``as_vector`` once, then the kernel."""
+
+    def call(gamma, z):
+        return kernel(gamma, as_vector(z, dim, name))
+
+    return call
+
+
+def _elementwise(scalar_map):
+    """The kernel of a one-dimensional map given on Python floats.
+
+    Each element goes through ``scalar_map(gamma, s)`` unchanged, which
+    keeps ``math``'s results bit for bit and costs less per point than a
+    chain of numpy calls on one-element arrays.
+    """
+    ufunc = np.frompyfunc(scalar_map, 2, 1)
+
+    def kernel(gamma, z):
+        return ufunc(gamma, z).astype(float)
+
+    return kernel
+
+
 def _all_space():
     return SetSpec(contains=lambda x: True, closure_contains=lambda x: True)
 
@@ -49,12 +85,14 @@ class ConvexFunction:
     """A proper lsc convex function with closed-form companions.
 
     ``value`` and ``conjugate`` map a vector to an extended real (float,
-    +inf allowed).  ``prox`` maps (gamma, z) to prox_{gamma f}(z).
+    +inf allowed).  ``prox`` maps (gamma, z) to prox_{gamma f}(z) and
+    ``prox_kernel`` is its trusted array kernel (module docstring).
     ``value_batch``/``conjugate_batch`` evaluate an (m, dim) array of
     points at once; the brute-force oracles use them for grid scans.
     ``fitzpatrick_gap`` is F_{df}(x, x*) - <x, x*> when a closed form is
     known.  ``conjugate_prox`` is prox_{sigma f*} and powers the inverse
-    of the subdifferential; when absent it is derived from ``prox`` by
+    of the subdifferential, with ``conjugate_prox_kernel`` as its kernel;
+    when ``conjugate_prox`` is absent both are derived from the prox by
     the Moreau decomposition.
     """
 
@@ -63,11 +101,13 @@ class ConvexFunction:
     value: Callable[[np.ndarray], float]
     conjugate: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
+    prox_kernel: Callable[[float, np.ndarray], np.ndarray]
     value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     conjugate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     conjugate_prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    conjugate_prox_kernel: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     subdiff_domain: Optional[SetSpec] = None
     subdiff_range: Optional[SetSpec] = None
 
@@ -76,7 +116,8 @@ class ConvexFunction:
 class Operator:
     """A maximally monotone operator given by its resolvent and graph test.
 
-    ``resolvent`` maps (gamma, z) to J_{gamma A}(z) for gamma > 0.
+    ``resolvent`` maps (gamma, z) to J_{gamma A}(z) for gamma > 0, and
+    ``resolvent_kernel`` is its trusted array kernel (module docstring).
     ``dom``/``ran`` describe dom A and ran A.  ``inverse_factory``, when
     present, builds A^{-1} from closed forms; otherwise the generic
     resolvent identity is used.
@@ -85,6 +126,7 @@ class Operator:
     name: str
     dim: int
     resolvent: Callable[[float, np.ndarray], np.ndarray]
+    resolvent_kernel: Callable[[float, np.ndarray], np.ndarray]
     graph_contains: Callable[[np.ndarray, np.ndarray], bool]
     dom: SetSpec
     ran: SetSpec
@@ -112,9 +154,8 @@ class Operator:
 def _generic_inverse(A):
     """A^{-1} from the resolvent identity J_{mu A^{-1}}(w) = w - mu J_{A/mu}(w/mu)."""
 
-    def resolvent(mu, w):
-        w = np.asarray(w, dtype=float)
-        return w - mu * A.resolvent(1.0 / mu, w / mu)
+    def kernel(mu, w):
+        return w - mu * A.resolvent_kernel(1.0 / mu, w / mu)
 
     swapped_fitz = None
     if A.fitzpatrick_gap is not None:
@@ -123,7 +164,8 @@ def _generic_inverse(A):
     return Operator(
         name=f"inverse({A.name})",
         dim=A.dim,
-        resolvent=resolvent,
+        resolvent=_validated(kernel, A.dim, "w"),
+        resolvent_kernel=kernel,
         graph_contains=lambda y, y_star: A.graph_contains(y_star, y),
         dom=A.ran,
         ran=A.dom,
@@ -141,11 +183,12 @@ def conjugate_function(f):
     fills in.
     """
     if f.conjugate_prox is not None:
-        star_prox = f.conjugate_prox
+        star_prox, star_kernel = f.conjugate_prox, f.conjugate_prox_kernel
     else:
-        def star_prox(sigma, w):
-            w = np.asarray(w, dtype=float)
-            return w - sigma * f.prox(1.0 / sigma, w / sigma)
+        def star_kernel(sigma, w):
+            return w - sigma * f.prox_kernel(1.0 / sigma, w / sigma)
+
+        star_prox = _validated(star_kernel, f.dim, "w")
 
     swapped_fitz = None
     if f.fitzpatrick_gap is not None:
@@ -157,11 +200,13 @@ def conjugate_function(f):
         value=f.conjugate,
         conjugate=f.value,
         prox=star_prox,
+        prox_kernel=star_kernel,
         value_batch=f.conjugate_batch,
         conjugate_batch=f.value_batch,
         gradient=None,
         fitzpatrick_gap=swapped_fitz,
         conjugate_prox=f.prox,
+        conjugate_prox_kernel=f.prox_kernel,
         subdiff_domain=f.subdiff_range,
         subdiff_range=f.subdiff_domain,
     )
@@ -187,6 +232,7 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
         name=f"subdiff({f.name})",
         dim=f.dim,
         resolvent=f.prox,
+        resolvent_kernel=f.prox_kernel,
         graph_contains=graph_contains,
         dom=f.subdiff_domain,
         ran=f.subdiff_range,
@@ -219,8 +265,10 @@ def make_energy(dim):
     def value_batch(points):
         return 0.5 * np.sum(points * points, axis=1)
 
-    def prox(gamma, z):
-        return as_vector(z, dim, "z") / (1.0 + gamma)
+    def prox_kernel(gamma, z):
+        return z / (1.0 + gamma)
+
+    prox = _validated(prox_kernel, dim, "z")
 
     def fitz_gap(x, x_star):
         d = as_vector(x, dim, "x") - as_vector(x_star, dim, "x_star")
@@ -232,11 +280,13 @@ def make_energy(dim):
         value=value,
         conjugate=value,
         prox=prox,
+        prox_kernel=prox_kernel,
         value_batch=value_batch,
         conjugate_batch=value_batch,
         gradient=lambda x: as_vector(x, dim, "x").copy(),
         fitzpatrick_gap=fitz_gap,
         conjugate_prox=prox,
+        conjugate_prox_kernel=prox_kernel,
         subdiff_domain=_all_space(),
         subdiff_range=_all_space(),
     )
@@ -283,7 +333,8 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
     dim = Q.shape[1]
 
     def project(z):
-        return Q.T @ (Q @ z)
+        # rows of z are points, so one call projects a whole stack
+        return (z @ Q.T) @ Q
 
     def in_U(z):
         return float(np.linalg.norm(z - project(z))) <= membership_scale(tol, z)
@@ -298,22 +349,20 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         return 0.0 if in_Uperp(as_vector(x_star, dim, "x_star")) else INF
 
     def value_batch(points):
-        resid = points - (points @ Q.T) @ Q
+        resid = points - project(points)
         dist = np.linalg.norm(resid, axis=1)
         scale = tol.abs_tol * (1.0 + np.linalg.norm(points, axis=1))
         return np.where(dist <= scale, 0.0, INF)
 
     def conjugate_batch(points):
-        proj = (points @ Q.T) @ Q
-        dist = np.linalg.norm(proj, axis=1)
+        dist = np.linalg.norm(project(points), axis=1)
         scale = tol.abs_tol * (1.0 + np.linalg.norm(points, axis=1))
         return np.where(dist <= scale, 0.0, INF)
 
-    def prox(gamma, z):
-        return project(as_vector(z, dim, "z"))
+    def prox_kernel(gamma, z):
+        return project(z)
 
-    def conjugate_prox(sigma, w):
-        w = as_vector(w, dim, "w")
+    def conjugate_prox_kernel(sigma, w):
         return w - project(w)
 
     def fitz_gap(x, x_star):
@@ -329,12 +378,14 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         dim=dim,
         value=value,
         conjugate=conjugate,
-        prox=prox,
+        prox=_validated(prox_kernel, dim, "z"),
+        prox_kernel=prox_kernel,
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         gradient=None,
         fitzpatrick_gap=fitz_gap,
-        conjugate_prox=conjugate_prox,
+        conjugate_prox=_validated(conjugate_prox_kernel, dim, "w"),
+        conjugate_prox_kernel=conjugate_prox_kernel,
         subdiff_domain=member_U,
         subdiff_range=member_Uperp,
     )
@@ -375,23 +426,20 @@ def make_burg():
         out[mask] = -1.0 - np.log(-t[mask])
         return out
 
-    def prox(gamma, z):
-        s = as_vector(z, 1, "z")[0]
+    def scalar_prox(gamma, s):
         disc = math.sqrt(s * s + 4.0 * gamma)
         if s >= 0.0:
-            p = 0.5 * (s + disc)
-        else:
-            p = 2.0 * gamma / (disc - s)
-        return np.array([p])
+            return 0.5 * (s + disc)
+        return 2.0 * gamma / (disc - s)
 
-    def conjugate_prox(sigma, w):
-        t = as_vector(w, 1, "w")[0]
+    def scalar_conjugate_prox(sigma, t):
         disc = math.sqrt(t * t + 4.0 * sigma)
         if t <= 0.0:
-            p = 0.5 * (t - disc)
-        else:
-            p = -2.0 * sigma / (t + disc)
-        return np.array([p])
+            return 0.5 * (t - disc)
+        return -2.0 * sigma / (t + disc)
+
+    prox_kernel = _elementwise(scalar_prox)
+    conjugate_prox_kernel = _elementwise(scalar_conjugate_prox)
 
     def gradient(x):
         s = as_vector(x, 1, "x")[0]
@@ -413,12 +461,14 @@ def make_burg():
         dim=1,
         value=value,
         conjugate=conjugate,
-        prox=prox,
+        prox=_validated(prox_kernel, 1, "z"),
+        prox_kernel=prox_kernel,
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         gradient=gradient,
         fitzpatrick_gap=None,
-        conjugate_prox=conjugate_prox,
+        conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
+        conjugate_prox_kernel=conjugate_prox_kernel,
         subdiff_domain=scalar_pos,
         subdiff_range=scalar_neg,
     )
@@ -463,15 +513,14 @@ def make_shannon():
         out[mask] = np.exp(t[mask])
         return out
 
-    def prox(gamma, z):
-        s = as_vector(z, 1, "z")[0]
-        p = gamma * lambert_w_exp(s / gamma - math.log(gamma))
-        return np.array([p])
+    def scalar_prox(gamma, s):
+        return gamma * lambert_w_exp(s / gamma - math.log(gamma))
 
-    def conjugate_prox(sigma, w):
-        t = as_vector(w, 1, "w")[0]
-        p = t - lambert_w_exp(t + math.log(sigma))
-        return np.array([p])
+    def scalar_conjugate_prox(sigma, t):
+        return t - lambert_w_exp(t + math.log(sigma))
+
+    prox_kernel = _elementwise(scalar_prox)
+    conjugate_prox_kernel = _elementwise(scalar_conjugate_prox)
 
     def gradient(x):
         s = as_vector(x, 1, "x")[0]
@@ -489,12 +538,14 @@ def make_shannon():
         dim=1,
         value=value,
         conjugate=conjugate,
-        prox=prox,
+        prox=_validated(prox_kernel, 1, "z"),
+        prox_kernel=prox_kernel,
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         gradient=gradient,
         fitzpatrick_gap=None,
-        conjugate_prox=conjugate_prox,
+        conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
+        conjugate_prox_kernel=conjugate_prox_kernel,
         subdiff_domain=scalar_pos,
         subdiff_range=_all_space(),
     )
@@ -520,8 +571,8 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
     """
 
     def resolvent(gamma, z):
-        z = as_vector(z, 2, "z")
-        return np.array([z[0] + gamma * z[1], -gamma * z[0] + z[1]]) / (1.0 + gamma * gamma)
+        z0, z1 = z[..., :1], z[..., 1:]
+        return np.concatenate((z0 + gamma * z1, -gamma * z0 + z1), axis=-1) / (1.0 + gamma * gamma)
 
     def graph_contains(x, x_star):
         x = as_vector(x, 2, "x")
@@ -533,8 +584,8 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
 
     def make_inverse():
         def inv_resolvent(mu, w):
-            w = as_vector(w, 2, "w")
-            return np.array([w[0] - mu * w[1], mu * w[0] + w[1]]) / (1.0 + mu * mu)
+            w0, w1 = w[..., :1], w[..., 1:]
+            return np.concatenate((w0 - mu * w1, mu * w0 + w1), axis=-1) / (1.0 + mu * mu)
 
         def inv_graph(y, y_star):
             return graph_contains(y_star, y)
@@ -545,7 +596,8 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
         return Operator(
             name="inverse(rotator)",
             dim=2,
-            resolvent=inv_resolvent,
+            resolvent=_validated(inv_resolvent, 2, "w"),
+            resolvent_kernel=inv_resolvent,
             graph_contains=inv_graph,
             dom=_all_space(),
             ran=_all_space(),
@@ -556,7 +608,8 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
     return Operator(
         name="rotator",
         dim=2,
-        resolvent=resolvent,
+        resolvent=_validated(resolvent, 2, "z"),
+        resolvent_kernel=resolvent,
         graph_contains=graph_contains,
         dom=_all_space(),
         ran=_all_space(),

@@ -13,6 +13,7 @@ series is dominated by the Fenchel-Young gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -31,14 +32,11 @@ class GammaSchedule:
     def __post_init__(self):
         if (self.constant is None) == (self.values is None):
             raise ValueError("provide exactly one of constant= or values=")
-        if self.constant is not None and not self.constant > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.constant!r}")
-        if self.values is not None:
-            if len(self.values) == 0:
-                raise ValueError("values must be non-empty")
-            for g in self.values:
-                if not g > 0.0:
-                    raise ValueError(f"gamma must be positive, got {g!r}")
+        for g in (self.constant,) if self.values is None else self.values:
+            if not 0.0 < g < math.inf:
+                raise ValueError(f"gamma must be positive and finite, got {g!r}")
+        if self.values is not None and len(self.values) == 0:
+            raise ValueError("values must be non-empty")
 
     @classmethod
     def const(cls, gamma):
@@ -62,43 +60,68 @@ class GammaSchedule:
 
 @dataclass(frozen=True)
 class CyclicSequence:
-    """The generated chain and its series terms at (x, x*)."""
+    """The generated chain and its series terms at (x, x*).
+
+    Row k - 1 of ``a`` and ``a_star`` is the graph point (a_k, a_k*).
+    """
 
     x: np.ndarray
     x_star: np.ndarray
     gammas: np.ndarray
-    points: tuple
+    a: np.ndarray
+    a_star: np.ndarray
     terms: np.ndarray
     partial_sums: np.ndarray
+
+    @property
+    def points(self):
+        """The pairs (a_k, a_k*) in order."""
+        return tuple(zip(self.a, self.a_star))
 
 
 def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     """Run the recursion for n_terms steps and collect terms and sums.
 
     Term k is ||x - a_k||^2 / gamma_k; term 1 coincides with the Carlier
-    bound C_{A,gamma_1}(x, x*) by construction.
+    bound C_{A,gamma_1}(x, x*) by construction.  Each step is a pure
+    function of (a_{k-1}*, gamma_k), so under a constant schedule a step
+    that returns a_{k-1}* unchanged, bit for bit, is a fixed point: the
+    remaining rows repeat it and are filled in without further steps.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
     gammas = schedule.resolve(n_terms)
+    constant = schedule.constant is not None
 
-    points = []
-    terms = np.empty(n_terms)
-    a_star = x_star
-    for k in range(n_terms):
-        gamma = gammas[k]
-        z = x + gamma * a_star
-        a = A.resolvent(gamma, z)
-        d = x - a
-        terms[k] = float(np.dot(d, d)) / gamma
-        a_star = (z - a) / gamma
-        points.append((a, a_star))
+    resolvent = A.resolvent_kernel
+    a = np.empty((n_terms, A.dim))
+    a_star = np.empty((n_terms, A.dim))
+    prev = x_star
+    for k, gamma in enumerate(gammas.tolist()):
+        z = x + gamma * prev
+        ak = resolvent(gamma, z)
+        sk = (z - ak) / gamma
+        a[k] = ak
+        a_star[k] = sk
+        # raw bytes, so that -0.0 and 0.0 count as different
+        if constant and sk.tobytes() == prev.tobytes():
+            a[k + 1:] = ak
+            a_star[k + 1:] = sk
+            break
+        prev = sk
+    # A non-finite z_k makes a_k* non-finite and a non-finite a_k* makes
+    # z_{k+1} non-finite, so this is the finiteness check of every z_k.
+    if not (np.isfinite(z).all() and np.isfinite(a_star[:-1]).all()):
+        raise ValueError("z = x + gamma*a_star has non-finite entries in the cyclic recursion")
 
+    d = x - a
+    terms = np.vecdot(d, d) / gammas
     return CyclicSequence(
         x=x,
         x_star=x_star,
         gammas=gammas,
-        points=tuple(points),
+        a=a,
+        a_star=a_star,
         terms=terms,
         partial_sums=np.cumsum(terms),
     )
@@ -112,7 +135,7 @@ def series_bound(A, x, x_star, schedule, n_terms):
     first term always equals carlier_bound(A, gammas[0], x, x_star).
     """
     seq = generate_cyclic_sequence(A, x, x_star, schedule, n_terms)
-    return float(seq.partial_sums[-1]), [float(t) for t in seq.terms]
+    return float(seq.partial_sums[-1]), seq.terms.tolist()
 
 
 def ncyclic_identity_check(x, x_star, points):
@@ -137,16 +160,21 @@ def ncyclic_identity_check(x, x_star, points):
     if not pts:
         raise ValueError("points must contain at least one pair")
 
+    lhs = _polarization_lhs(x, x_star, pts)
+    rhs = inner(pts[0][0] - x, x_star - pts[0][1])
+    for k in range(1, len(pts)):
+        rhs += inner(pts[k][0] - x, pts[k - 1][1] - pts[k][1])
+
+    return lhs, rhs
+
+
+def _polarization_lhs(x, x_star, pts):
+    """<x - a_m, a_m*> + <a_1 - x, x*> + sum_{k<m} <a_{k+1} - a_k, a_k*>."""
     m = len(pts)
     lhs = inner(x - pts[m - 1][0], pts[m - 1][1]) + inner(pts[0][0] - x, x_star)
     for k in range(m - 1):
         lhs += inner(pts[k + 1][0] - pts[k][0], pts[k][1])
-
-    rhs = inner(pts[0][0] - x, x_star - pts[0][1])
-    for k in range(1, m):
-        rhs += inner(pts[k][0] - x, pts[k - 1][1] - pts[k][1])
-
-    return lhs, rhs
+    return lhs
 
 
 def fitzpatrick_n_lower(A, x, x_star, points, tol=DEFAULT_TOLERANCES):
@@ -165,11 +193,7 @@ def fitzpatrick_n_lower(A, x, x_star, points, tol=DEFAULT_TOLERANCES):
         if not A.graph_contains(a, a_star):
             raise ValueError(f"point {i + 1} is not in the graph of {A.name}")
 
-    m = len(pts)
-    value = inner(x - pts[m - 1][0], pts[m - 1][1]) + inner(pts[0][0] - x, x_star)
-    for k in range(m - 1):
-        value += inner(pts[k + 1][0] - pts[k][0], pts[k][1])
-    return value
+    return _polarization_lhs(x, x_star, pts)
 
 
 SERIES_CSV_HEADER = ("k", "gamma_k", "term_k", "partial_sum_k")

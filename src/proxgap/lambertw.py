@@ -21,14 +21,17 @@ _STEP_TOL = 1e-14
 def lambert_w(z, tol=DEFAULT_TOLERANCES):
     """Principal branch W(z) for z >= 0 by Halley iteration.
 
-    Returns w >= 0 with w * exp(w) = z to roughly full double precision.
-    Raises ValueError for z < 0 (the branch handled here is z >= 0 only).
+    Returns w >= 0 with w * exp(w) = z to roughly full double precision,
+    and +inf at z = +inf (W is increasing and unbounded).  Raises
+    ValueError for z < 0 (the branch handled here is z >= 0 only).
     """
     z = float(z)
     if math.isnan(z) or z < 0.0:
         raise ValueError(f"lambert_w requires z >= 0, got {z!r}")
     if z == 0.0:
         return 0.0
+    if z == math.inf:
+        return z
 
     if z < 0.5 / math.e:
         w = z
@@ -55,13 +58,15 @@ def lambert_w_exp(u, tol=DEFAULT_TOLERANCES):
     For u <= 700 this delegates to ``lambert_w``.  For larger u the value
     solves w + ln(w) = u, which Halley handles directly: with
     g(w) = w + ln w - u, g' = 1 + 1/w and g'' = -1/w**2, started from
-    w0 = u - ln u (accurate to O(ln u / u)).
+    w0 = u - ln u (accurate to O(ln u / u)).  At u = +inf it returns +inf.
     """
     u = float(u)
     if math.isnan(u):
         raise ValueError("lambert_w_exp requires a real argument, got nan")
     if u <= _EXP_SAFE:
         return lambert_w(math.exp(u), tol)
+    if u == math.inf:
+        return u
 
     w = u - math.log(u)
     for _ in range(_HALLEY_ITERS):

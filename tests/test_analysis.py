@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ def test_sweep_validates_grid(energy2):
         gamma_sweep(A, X, XSTAR, lo=1.0, hi=0.1)
     with pytest.raises(ValueError):
         gamma_sweep(A, X, XSTAR, count=2)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-6, math.inf), (math.nan, 1.0), (1e-6, math.nan)])
+def test_sweep_rejects_non_finite_grid_ends(energy2, lo, hi):
+    A = subdifferential_operator(energy2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
+            gamma_sweep(A, X, XSTAR, lo=lo, hi=hi)
 
 
 def test_sweep_serialization(energy2):

@@ -84,6 +84,14 @@ def test_carlier_rejects_bad_gamma(energy2):
         carlier_bound(A, -2.0, X1, XSTAR1)
 
 
+def test_carlier_rejects_non_finite_gamma(energy2):
+    A = subdifferential_operator(energy2)
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        carlier_bound(A, math.inf, X1, XSTAR1)
+    with pytest.raises(ValueError, match="gamma must be positive, got nan"):
+        carlier_bound(A, math.nan, X1, XSTAR1)
+
+
 # ----------------------------------------------------------------- minty
 
 

@@ -29,6 +29,13 @@ def test_schedule_requires_exactly_one_shape():
         GammaSchedule.from_values([1.0, -2.0])
 
 
+def test_schedule_rejects_infinite_gamma():
+    with pytest.raises(ValueError, match="positive and finite"):
+        GammaSchedule.const(float("inf"))
+    with pytest.raises(ValueError, match="positive and finite"):
+        GammaSchedule.from_values([1.0, float("inf")])
+
+
 def test_schedule_resolve():
     assert np.allclose(GammaSchedule.const(2.0).resolve(3), [2.0, 2.0, 2.0])
     assert np.allclose(GammaSchedule.from_values([1.0, 2.0, 3.0]).resolve(2), [1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,3 +60,11 @@ def test_lambert_w_exp_large_u_asymptotics():
     u = 1e6
     w = lambert_w_exp(u)
     assert abs(w - (u - math.log(u))) < 1e-3
+
+
+def test_infinity_maps_to_infinity():
+    # W is increasing and unbounded, so W(inf) = W(exp(inf)) = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lambert_w(math.inf) == math.inf
+        assert lambert_w_exp(math.inf) == math.inf

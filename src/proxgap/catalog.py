@@ -16,10 +16,12 @@ point of shape ``(dim,)`` with a float ``gamma > 0``, or a stack of
 points of shape ``(m, dim)`` with ``gamma`` a float or an ``(m, 1)``
 column of positive floats; the result has the shape of ``z`` and row i
 depends only on row i of the inputs.  Kernels validate nothing and do
-not check that their output is finite.  The public maps ``prox``,
-``conjugate_prox`` and ``resolvent`` are the kernels behind one
-``as_vector`` call on ``z`` (see :func:`_validated`); drivers that call a
-kernel directly check finiteness of their stacked inputs themselves.
+not check that their output is finite; the one exception is the
+rescaled point of the derived kernels (:func:`_flipped`).  The public
+maps ``prox``, ``conjugate_prox`` and ``resolvent`` are the kernels
+behind one ``as_vector`` call on ``z`` (see :func:`_validated`); drivers
+that call a kernel directly check finiteness of their stacked inputs
+themselves.
 """
 
 from __future__ import annotations
@@ -74,6 +76,23 @@ def _elementwise(scalar_map):
         return ufunc(gamma, z).astype(float)
 
     return kernel
+
+
+def _flipped(kernel):
+    """The kernel of w -> w - mu J(1/mu, w/mu), given the kernel of J.
+
+    This is J_{mu A^{-1}} for J = J_A, and prox_{mu f*} (Moreau) for
+    J = prox_f.  The rescaled point w/mu is the input of the inner kernel,
+    so its finiteness is checked here, as a public inner call would.
+    """
+
+    def flipped(mu, w):
+        z = w / mu
+        if not np.isfinite(z).all():
+            raise ValueError(f"z = w/mu has non-finite entries: {z!r}")
+        return w - mu * kernel(1.0 / mu, z)
+
+    return flipped
 
 
 def _all_space():
@@ -154,8 +173,7 @@ class Operator:
 def _generic_inverse(A):
     """A^{-1} from the resolvent identity J_{mu A^{-1}}(w) = w - mu J_{A/mu}(w/mu)."""
 
-    def kernel(mu, w):
-        return w - mu * A.resolvent_kernel(1.0 / mu, w / mu)
+    kernel = _flipped(A.resolvent_kernel)
 
     swapped_fitz = None
     if A.fitzpatrick_gap is not None:
@@ -185,9 +203,7 @@ def conjugate_function(f):
     if f.conjugate_prox is not None:
         star_prox, star_kernel = f.conjugate_prox, f.conjugate_prox_kernel
     else:
-        def star_kernel(sigma, w):
-            return w - sigma * f.prox_kernel(1.0 / sigma, w / sigma)
-
+        star_kernel = _flipped(f.prox_kernel)
         star_prox = _validated(star_kernel, f.dim, "w")
 
     swapped_fitz = None

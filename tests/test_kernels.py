@@ -160,6 +160,10 @@ def test_sweep_raises_on_non_finite_z(energy2):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             gamma_sweep(A, [1.0, 0.0], [1e305, 0.0])
+        # the generic flip rescales its point to w/mu, which overflows here
+        flip = dataclasses.replace(A, inverse_factory=None).inverse()
+        with pytest.raises(ValueError, match="non-finite"):
+            gamma_sweep(flip, [1e10, 0.0], [1.0, 0.0], lo=1e-300, hi=1e-290, count=5)
 
 
 def test_series_raises_on_non_finite_z(energy2):

@@ -39,7 +39,6 @@ from .catalog import (
     Operator,
     SetSpec,
     conjugate_function,
-    inverse_operator,
     make_burg,
     make_energy,
     make_rotator,
@@ -96,7 +95,6 @@ __all__ = [
     "gap",
     "generate_cyclic_sequence",
     "inner",
-    "inverse_operator",
     "lambert_w",
     "lambert_w_exp",
     "make_burg",

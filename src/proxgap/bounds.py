@@ -33,11 +33,11 @@ def gap(f, x, x_star):
 
 
 def _gap(f, x, x_star):
-    fx = f.value(x)
-    fs = f.conjugate(x_star)
+    fx = f.value_kernel(x)
+    fs = f.conjugate_kernel(x_star)
     if fx == INF or fs == INF:
         return INF
-    return fx + fs - inner(x, x_star)
+    return float(fx + fs - inner(x, x_star))
 
 
 def _check_gamma(gamma):
@@ -153,10 +153,10 @@ def bregman_distance(f, x, y):
     x = as_vector(x, f.dim, "x")
     y = as_vector(y, f.dim, "y")
     g = f.gradient(y)
-    fx = f.value(x)
+    fx = f.value_kernel(x)
     if fx == INF:
         return INF
-    return fx - f.value(y) - inner(x - y, g)
+    return float(fx - f.value_kernel(y) - inner(x - y, g))
 
 
 @dataclass(frozen=True)

@@ -9,19 +9,24 @@ these formulas.
 Prox convention: prox_{gamma f}(z) is the minimizer of
 0.5*||p - z||^2 + gamma*f(p), equivalently the resolvent J_{gamma df}(z).
 
-Kernel contract.  Every prox, conjugate prox and resolvent exists once,
-as an array kernel ``kernel(gamma, z)`` (the ``*_kernel`` fields).  A
-kernel trusts its input: ``z`` is a finite float64 array, either one
-point of shape ``(dim,)`` with a float ``gamma > 0``, or a stack of
-points of shape ``(m, dim)`` with ``gamma`` a float or an ``(m, 1)``
-column of positive floats; the result has the shape of ``z`` and row i
-depends only on row i of the inputs.  Kernels validate nothing and do
-not check that their output is finite; the one exception is the
-rescaled point of the derived kernels (:func:`_flipped`).  The public
-maps ``prox``, ``conjugate_prox`` and ``resolvent`` are the kernels
-behind one ``as_vector`` call on ``z`` (see :func:`_validated`); drivers
-that call a kernel directly check finiteness of their stacked inputs
-themselves.
+Kernel contract.  Every value, conjugate, prox, conjugate prox and
+resolvent exists once, as an array kernel (the ``*_kernel`` fields).  A
+kernel trusts its input: each point is a finite float64 array, either
+one point of shape ``(dim,)`` or a stack of points of shape
+``(m, dim)``, and row i of the result depends only on row i of the
+inputs.  Value and conjugate kernels ``kernel(x)`` return a float64
+scalar for one point and an ``(m,)`` array for a stack, with +inf
+outside the domain.  Prox, conjugate prox and resolvent kernels
+``kernel(gamma, z)`` take a float ``gamma > 0`` for one point and a
+float or an ``(m, 1)`` column of positive floats for a stack; the result
+has the shape of ``z``.  Kernels validate nothing and do not check that
+their output is finite; the one exception is the rescaled point of the
+derived kernels (:func:`_flipped`).  The public maps ``value``,
+``conjugate``, ``prox``, ``conjugate_prox`` and ``resolvent`` are the
+kernels behind one ``as_vector`` call (see :func:`_evaluated` and
+:func:`_validated`); code that holds validated arrays, and drivers that
+check finiteness of their stacked inputs themselves, call the kernels
+directly.
 """
 
 from __future__ import annotations
@@ -52,6 +57,15 @@ class SetSpec:
 
     contains: Callable[[np.ndarray], bool]
     closure_contains: Callable[[np.ndarray], bool]
+
+
+def _evaluated(kernel, dim, name):
+    """The public value map of a kernel: ``as_vector`` once, then the kernel, as a float."""
+
+    def call(x):
+        return float(kernel(as_vector(x, dim, name)))
+
+    return call
 
 
 def _validated(kernel, dim, name):
@@ -104,25 +118,26 @@ class ConvexFunction:
     """A proper lsc convex function with closed-form companions.
 
     ``value`` and ``conjugate`` map a vector to an extended real (float,
-    +inf allowed).  ``prox`` maps (gamma, z) to prox_{gamma f}(z) and
-    ``prox_kernel`` is its trusted array kernel (module docstring).
-    ``value_batch``/``conjugate_batch`` evaluate an (m, dim) array of
-    points at once; the brute-force oracles use them for grid scans.
-    ``fitzpatrick_gap`` is F_{df}(x, x*) - <x, x*> when a closed form is
-    known.  ``conjugate_prox`` is prox_{sigma f*} and powers the inverse
-    of the subdifferential, with ``conjugate_prox_kernel`` as its kernel;
-    when ``conjugate_prox`` is absent both are derived from the prox by
-    the Moreau decomposition.
+    +inf allowed); ``value_kernel`` and ``conjugate_kernel`` are their
+    trusted array kernels (module docstring), which the bounds, the graph
+    test and the brute-force oracles call on validated points and grids.
+    ``prox`` maps (gamma, z) to prox_{gamma f}(z) and ``prox_kernel`` is
+    its kernel.  ``fitzpatrick_gap`` is F_{df}(x, x*) - <x, x*> when a
+    closed form is known; it trusts its validated inputs.
+    ``conjugate_prox`` is prox_{sigma f*} and powers the inverse of the
+    subdifferential, with ``conjugate_prox_kernel`` as its kernel; when
+    ``conjugate_prox`` is absent both are derived from the prox by the
+    Moreau decomposition.
     """
 
     name: str
     dim: int
     value: Callable[[np.ndarray], float]
     conjugate: Callable[[np.ndarray], float]
+    value_kernel: Callable[[np.ndarray], np.ndarray]
+    conjugate_kernel: Callable[[np.ndarray], np.ndarray]
     prox: Callable[[float, np.ndarray], np.ndarray]
     prox_kernel: Callable[[float, np.ndarray], np.ndarray]
-    value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    conjugate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     conjugate_prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -166,9 +181,6 @@ class Operator:
     def in_range(self, x_star):
         return bool(self.ran.contains(as_vector(x_star, self.dim, "x_star")))
 
-    def in_closure_range(self, x_star):
-        return bool(self.ran.closure_contains(as_vector(x_star, self.dim, "x_star")))
-
 
 def _generic_inverse(A):
     """A^{-1} from the resolvent identity J_{mu A^{-1}}(w) = w - mu J_{A/mu}(w/mu)."""
@@ -195,10 +207,10 @@ def _generic_inverse(A):
 def conjugate_function(f):
     """The Fenchel conjugate of a catalog function, as a catalog function.
 
-    Roles of value/conjugate, prox/conjugate_prox, and the subdifferential
-    domain/range swap.  When f carries no closed-form conjugate prox, the
-    Moreau decomposition prox_{sigma f*}(w) = w - sigma*prox_{f/sigma}(w/sigma)
-    fills in.
+    Roles of value/conjugate, prox/conjugate_prox (each with its kernel),
+    and the subdifferential domain/range swap.  When f carries no
+    closed-form conjugate prox, the Moreau decomposition
+    prox_{sigma f*}(w) = w - sigma*prox_{f/sigma}(w/sigma) fills in.
     """
     if f.conjugate_prox is not None:
         star_prox, star_kernel = f.conjugate_prox, f.conjugate_prox_kernel
@@ -215,10 +227,10 @@ def conjugate_function(f):
         dim=f.dim,
         value=f.conjugate,
         conjugate=f.value,
+        value_kernel=f.conjugate_kernel,
+        conjugate_kernel=f.value_kernel,
         prox=star_prox,
         prox_kernel=star_kernel,
-        value_batch=f.conjugate_batch,
-        conjugate_batch=f.value_batch,
         gradient=None,
         fitzpatrick_gap=swapped_fitz,
         conjugate_prox=f.prox,
@@ -241,7 +253,7 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
     def graph_contains(x, x_star):
         x = as_vector(x, f.dim, "x")
         x_star = as_vector(x_star, f.dim, "x_star")
-        g = f.value(x) + f.conjugate(x_star) - inner(x, x_star)
+        g = f.value_kernel(x) + f.conjugate_kernel(x_star) - inner(x, x_star)
         return bool(g <= membership_scale(tol, x, x_star))
 
     return Operator(
@@ -257,11 +269,6 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
     )
 
 
-def inverse_operator(A):
-    """A^{-1} as an operator; closed forms when the entry provides them."""
-    return A.inverse()
-
-
 # ---------------------------------------------------------------------------
 # energy
 
@@ -275,30 +282,27 @@ def make_energy(dim):
     if dim < 1:
         raise ValueError(f"energy requires dim >= 1, got {dim}")
 
-    def value(x):
-        return 0.5 * norm_sq(as_vector(x, dim, "x"))
-
-    def value_batch(points):
-        return 0.5 * np.sum(points * points, axis=1)
+    def value_kernel(x):
+        return 0.5 * np.vecdot(x, x)
 
     def prox_kernel(gamma, z):
         return z / (1.0 + gamma)
 
+    value = _evaluated(value_kernel, dim, "x")
     prox = _validated(prox_kernel, dim, "z")
 
     def fitz_gap(x, x_star):
-        d = as_vector(x, dim, "x") - as_vector(x_star, dim, "x_star")
-        return 0.25 * norm_sq(d)
+        return 0.25 * norm_sq(x - x_star)
 
     return ConvexFunction(
         name="energy",
         dim=dim,
         value=value,
         conjugate=value,
+        value_kernel=value_kernel,
+        conjugate_kernel=value_kernel,
         prox=prox,
         prox_kernel=prox_kernel,
-        value_batch=value_batch,
-        conjugate_batch=value_batch,
         gradient=lambda x: as_vector(x, dim, "x").copy(),
         fitzpatrick_gap=fitz_gap,
         conjugate_prox=prox,
@@ -352,28 +356,22 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         # rows of z are points, so one call projects a whole stack
         return (z @ Q.T) @ Q
 
+    def within_tol(d, z):
+        # ||d|| <= abs_tol*(1 + ||z||) row by row: for one point,
+        # sqrt(vecdot) has the bits of np.linalg.norm in membership_scale
+        return np.sqrt(np.vecdot(d, d)) <= tol.abs_tol * (1.0 + np.sqrt(np.vecdot(z, z)))
+
     def in_U(z):
-        return float(np.linalg.norm(z - project(z))) <= membership_scale(tol, z)
+        return within_tol(z - project(z), z)
 
     def in_Uperp(z):
-        return float(np.linalg.norm(project(z))) <= membership_scale(tol, z)
+        return within_tol(project(z), z)
 
-    def value(x):
-        return 0.0 if in_U(as_vector(x, dim, "x")) else INF
+    def value_kernel(x):
+        return np.where(in_U(x), 0.0, INF)[()]
 
-    def conjugate(x_star):
-        return 0.0 if in_Uperp(as_vector(x_star, dim, "x_star")) else INF
-
-    def value_batch(points):
-        resid = points - project(points)
-        dist = np.linalg.norm(resid, axis=1)
-        scale = tol.abs_tol * (1.0 + np.linalg.norm(points, axis=1))
-        return np.where(dist <= scale, 0.0, INF)
-
-    def conjugate_batch(points):
-        dist = np.linalg.norm(project(points), axis=1)
-        scale = tol.abs_tol * (1.0 + np.linalg.norm(points, axis=1))
-        return np.where(dist <= scale, 0.0, INF)
+    def conjugate_kernel(x_star):
+        return np.where(in_Uperp(x_star), 0.0, INF)[()]
 
     def prox_kernel(gamma, z):
         return project(z)
@@ -382,8 +380,6 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         return w - project(w)
 
     def fitz_gap(x, x_star):
-        x = as_vector(x, dim, "x")
-        x_star = as_vector(x_star, dim, "x_star")
         return 0.0 if (in_U(x) and in_Uperp(x_star)) else INF
 
     member_U = SetSpec(contains=in_U, closure_contains=in_U)
@@ -392,12 +388,12 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
     return ConvexFunction(
         name="subspace",
         dim=dim,
-        value=value,
-        conjugate=conjugate,
+        value=_evaluated(value_kernel, dim, "x"),
+        conjugate=_evaluated(conjugate_kernel, dim, "x_star"),
+        value_kernel=value_kernel,
+        conjugate_kernel=conjugate_kernel,
         prox=_validated(prox_kernel, dim, "z"),
         prox_kernel=prox_kernel,
-        value_batch=value_batch,
-        conjugate_batch=conjugate_batch,
         gradient=None,
         fitzpatrick_gap=fitz_gap,
         conjugate_prox=_validated(conjugate_prox_kernel, dim, "w"),
@@ -420,27 +416,20 @@ def make_burg():
     2*gamma/(sqrt(z^2 + 4*gamma) - z) avoids cancellation.
     """
 
-    def value(x):
-        s = as_vector(x, 1, "x")[0]
-        return -math.log(s) if s > 0.0 else INF
-
-    def conjugate(x_star):
-        t = as_vector(x_star, 1, "x_star")[0]
-        return -1.0 - math.log(-t) if t < 0.0 else INF
-
-    def value_batch(points):
-        s = points[:, 0]
+    # where= leaves the +inf fill outside the domain and raises no warning there
+    def value_kernel(x):
+        s = x[..., 0]
+        pos = s > 0.0
         out = np.full(s.shape, INF)
-        mask = s > 0.0
-        out[mask] = -np.log(s[mask])
-        return out
+        np.log(s, out=out, where=pos)
+        return np.negative(out, out=out, where=pos)[()]
 
-    def conjugate_batch(points):
-        t = points[:, 0]
+    def conjugate_kernel(x_star):
+        t = x_star[..., 0]
+        neg = t < 0.0
         out = np.full(t.shape, INF)
-        mask = t < 0.0
-        out[mask] = -1.0 - np.log(-t[mask])
-        return out
+        np.log(-t, out=out, where=neg)
+        return np.subtract(-1.0, out, out=out, where=neg)[()]
 
     def scalar_prox(gamma, s):
         disc = math.sqrt(s * s + 4.0 * gamma)
@@ -475,12 +464,12 @@ def make_burg():
     return ConvexFunction(
         name="burg",
         dim=1,
-        value=value,
-        conjugate=conjugate,
+        value=_evaluated(value_kernel, 1, "x"),
+        conjugate=_evaluated(conjugate_kernel, 1, "x_star"),
+        value_kernel=value_kernel,
+        conjugate_kernel=conjugate_kernel,
         prox=_validated(prox_kernel, 1, "z"),
         prox_kernel=prox_kernel,
-        value_batch=value_batch,
-        conjugate_batch=conjugate_batch,
         gradient=gradient,
         fitzpatrick_gap=None,
         conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
@@ -502,32 +491,19 @@ def make_shannon():
     1e-8.  prox of the conjugate is w - W(sigma*exp(w)).
     """
 
-    def value(x):
-        s = as_vector(x, 1, "x")[0]
-        if s > 0.0:
-            return s * math.log(s) - s
-        if s == 0.0:
-            return 0.0
-        return INF
-
-    def conjugate(x_star):
-        t = as_vector(x_star, 1, "x_star")[0]
-        return math.exp(t) if t <= _EXP_CEIL else INF
-
-    def value_batch(points):
-        s = points[:, 0]
-        out = np.full(s.shape, INF)
+    # where= leaves the 0 / +inf fill off (0, inf) and raises no warning there
+    def value_kernel(x):
+        s = x[..., 0]
         pos = s > 0.0
-        out[pos] = s[pos] * np.log(s[pos]) - s[pos]
-        out[s == 0.0] = 0.0
-        return out
+        out = np.where(s == 0.0, 0.0, INF)
+        np.log(s, out=out, where=pos)
+        np.multiply(s, out, out=out, where=pos)
+        return np.subtract(out, s, out=out, where=pos)[()]
 
-    def conjugate_batch(points):
-        t = points[:, 0]
+    def conjugate_kernel(x_star):
+        t = x_star[..., 0]
         out = np.full(t.shape, INF)
-        mask = t <= _EXP_CEIL
-        out[mask] = np.exp(t[mask])
-        return out
+        return np.exp(t, out=out, where=t <= _EXP_CEIL)[()]
 
     def scalar_prox(gamma, s):
         return gamma * lambert_w_exp(s / gamma - math.log(gamma))
@@ -552,12 +528,12 @@ def make_shannon():
     return ConvexFunction(
         name="shannon",
         dim=1,
-        value=value,
-        conjugate=conjugate,
+        value=_evaluated(value_kernel, 1, "x"),
+        conjugate=_evaluated(conjugate_kernel, 1, "x_star"),
+        value_kernel=value_kernel,
+        conjugate_kernel=conjugate_kernel,
         prox=_validated(prox_kernel, 1, "z"),
         prox_kernel=prox_kernel,
-        value_batch=value_batch,
-        conjugate_batch=conjugate_batch,
         gradient=gradient,
         fitzpatrick_gap=None,
         conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),

@@ -14,13 +14,10 @@ import numpy as np
 
 INF = math.inf
 
-# Finite magnitudes at or above this are treated as overflow, not data.
-OVERFLOW_LIMIT = 1e300
-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances threaded through comparisons and root finding.
+    """Numeric tolerances threaded through comparisons.
 
     Attributes
     ----------
@@ -28,47 +25,19 @@ class Tolerances:
         Absolute comparison tolerance.
     rel_tol : float
         Relative comparison tolerance.
-    root_tol : float
-        Residual tolerance for iterative root finding.
-    max_iters : int
-        Iteration cap for iterative solvers.
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    root_tol: float = 1e-12
-    max_iters: int = 200
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "root_tol"):
+        for name in ("abs_tol", "rel_tol"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def check_ext(value, what="value"):
-    """Validate an extended-real scalar and return it as a float.
-
-    Finite values must satisfy |v| < 1e300; +inf is allowed, NaN and -inf
-    are not.
-    """
-    v = float(value)
-    if math.isnan(v):
-        raise ValueError(f"{what} is NaN")
-    if v == -INF:
-        raise ValueError(f"{what} is -inf; extended reals here are (-1e300, 1e300) with +inf")
-    if v != INF and abs(v) >= OVERFLOW_LIMIT:
-        raise ValueError(f"{what} overflows the finite range: {v!r}")
-    return v
-
-
-def is_finite(value):
-    return math.isfinite(value)
 
 
 def approx_eq(a, b, tol=DEFAULT_TOLERANCES):
@@ -89,7 +58,7 @@ def as_vector(coords, dim=None, name="vector"):
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"{name} must be a 1-D sequence with at least one entry")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} has non-finite entries: {x!r}")
     if dim is not None and x.size != dim:
         raise ValueError(f"{name} has dimension {x.size}, expected {dim}")

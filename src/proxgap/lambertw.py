@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from .core import DEFAULT_TOLERANCES
-
 # Past this, exp(u) overflows double precision (ln(1.8e308) ~ 709.8).
 _EXP_SAFE = 700.0
 
@@ -18,7 +16,7 @@ _HALLEY_ITERS = 50
 _STEP_TOL = 1e-14
 
 
-def lambert_w(z, tol=DEFAULT_TOLERANCES):
+def lambert_w(z):
     """Principal branch W(z) for z >= 0 by Halley iteration.
 
     Returns w >= 0 with w * exp(w) = z to roughly full double precision,
@@ -52,7 +50,7 @@ def lambert_w(z, tol=DEFAULT_TOLERANCES):
     return w
 
 
-def lambert_w_exp(u, tol=DEFAULT_TOLERANCES):
+def lambert_w_exp(u):
     """W(exp(u)) without forming exp(u).
 
     For u <= 700 this delegates to ``lambert_w``.  For larger u the value
@@ -64,7 +62,7 @@ def lambert_w_exp(u, tol=DEFAULT_TOLERANCES):
     if math.isnan(u):
         raise ValueError("lambert_w_exp requires a real argument, got nan")
     if u <= _EXP_SAFE:
-        return lambert_w(math.exp(u), tol)
+        return lambert_w(math.exp(u))
     if u == math.inf:
         return u
 

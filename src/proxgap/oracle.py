@@ -56,12 +56,6 @@ class GridMax:
     on_boundary: bool
 
 
-def _batch_values(f, points):
-    if f.value_batch is not None:
-        return np.asarray(f.value_batch(points), dtype=float)
-    return np.array([f.value(p) for p in points])
-
-
 def _scan_box(f, x_star, lows, highs, n):
     axes = [np.linspace(lows[i], highs[i], n) for i in range(len(lows))]
     if len(axes) == 1:
@@ -69,7 +63,7 @@ def _scan_box(f, x_star, lows, highs, n):
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
-    objective = points @ x_star - _batch_values(f, points)
+    objective = points @ x_star - f.value_kernel(points)
     objective = np.where(np.isnan(objective), -INF, objective)
     top = float(np.max(objective))
     if top == -INF:
@@ -160,11 +154,11 @@ def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
 
     def objective(p):
         d = p - z
-        return 0.5 * float(np.dot(d, d)) + gamma * f.value(p)
+        return 0.5 * float(np.dot(d, d)) + gamma * f.value_kernel(p)
 
     def objective_batch(points):
         d = points - z
-        return 0.5 * np.sum(d * d, axis=1) + gamma * _batch_values(f, points)
+        return 0.5 * np.sum(d * d, axis=1) + gamma * f.value_kernel(points)
 
     p = np.clip(z, grid.lo, grid.hi)
     best = objective(p)

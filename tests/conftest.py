@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxgap import catalog
+from proxgap.verify import domain_sample as draw_domain_point  # noqa: F401
 
 
 @pytest.fixture
@@ -33,15 +34,6 @@ def shannon():
 @pytest.fixture
 def rotator():
     return catalog.make_rotator()
-
-
-def draw_domain_point(f, rng):
-    """A random point in dom f (interior, for the entropy entries)."""
-    if f.name == "energy":
-        return rng.normal(size=f.dim)
-    if f.name == "subspace":
-        return f.prox(1.0, rng.normal(size=f.dim))
-    return np.array([abs(rng.normal()) + 0.1])
 
 
 def draw_dual_point(f, rng):

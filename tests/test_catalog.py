@@ -9,7 +9,6 @@ from proxgap.catalog import (
     CATALOG_NAMES,
     apply_rotator,
     conjugate_function,
-    inverse_operator,
     orthonormal_basis,
     parse_spec,
     subdifferential_operator,
@@ -219,19 +218,6 @@ def test_fenchel_young_inequality(request, rng):
             assert residual >= -1e-12 * (1.0 + abs(residual))
 
 
-def test_batch_values_match_scalar(request, rng):
-    from conftest import draw_domain_point
-
-    for name in ALL_FUNCTIONS:
-        f = request.getfixturevalue(name)
-        if f.value_batch is None:
-            continue
-        pts = np.stack([draw_domain_point(f, rng) for _ in range(8)])
-        batch = f.value_batch(pts)
-        singles = [f.value(p) for p in pts]
-        assert np.allclose(batch, singles)
-
-
 # ------------------------------------------------------------ parse_spec
 
 
@@ -312,7 +298,7 @@ def test_generic_inverse_fallback_identity(burg, rng):
 
 def test_inverse_operator_helper(energy2, rng):
     op = subdifferential_operator(energy2)
-    inv = inverse_operator(op)
+    inv = op.inverse()
     z = rng.normal(size=2)
     # energy has gradient = identity, so the inverse resolvent matches
     assert np.allclose(inv.resolvent(1.0, z), op.resolvent(1.0, z))

@@ -1,8 +1,10 @@
 """Differential tests of the array kernels against the public scalar maps.
 
-Row i of a kernel call on a stack of points must match the public call on
-point i to within 4 ulp, for every catalog entry and every derived path:
-the closed-form inverse, the generic resolvent flip and the Moreau
+Row i of a value or conjugate kernel call on a stack of points must equal
+the public call on point i bit for bit, for every catalog function and its
+conjugate.  Row i of a prox or resolvent kernel call must match the public
+call to within 4 ulp, for every catalog entry and every derived path: the
+closed-form inverse, the generic resolvent flip and the Moreau
 conjugate-prox fallback.  The drivers built on the kernels (gamma sweeps
 and the cyclic series) are checked against plain loops over the public
 API.
@@ -17,6 +19,7 @@ from proxgap import catalog
 from proxgap.analysis import gamma_sweep
 from proxgap.bounds import carlier_bound
 from proxgap.catalog import conjugate_function, subdifferential_operator
+from proxgap.core import DEFAULT_TOLERANCES
 from proxgap.cyclic import GammaSchedule, generate_cyclic_sequence
 
 ULPS = 4
@@ -67,6 +70,54 @@ def assert_within_ulps(got, want, ulps=ULPS):
     allowed = ulps * np.spacing(np.maximum(np.abs(got), np.abs(want)))
     bad = ~((got == want) | (np.abs(got - want) <= allowed))
     assert not bad.any(), f"{int(bad.sum())} entries differ, first at {np.argwhere(bad)[0]}"
+
+
+def _edge_rows(f):
+    """Rows on both sides of each domain edge of a catalog function.
+
+    The entropies get zeros, tiny and huge magnitudes of both signs and
+    the Shannon conjugate's exp ceiling at 690; the subspace gets points of
+    U and of U-perp moved off them by half and twice the membership
+    tolerance abs_tol*(1 + ||z||).
+    """
+    if f.dim == 1:
+        ceil = 690.0
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, -745.0]
+        edges += [689.9, ceil, np.nextafter(ceil, np.inf), 700.0]
+        return np.array(edges)[:, None]
+    if f.name != "subspace":
+        return np.empty((0, f.dim))
+    u_dir = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    perp_dir = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    rows = []
+    for size in (1e-3, 1.0, 1e6):
+        for base, off in ((u_dir, perp_dir), (perp_dir, u_dir)):
+            for factor in (0.5, 2.0):
+                step = factor * DEFAULT_TOLERANCES.abs_tol * (1.0 + size)
+                rows.append(size * base + step * off)
+    return np.array(rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_value_kernels_rows_equal_public_calls(name, rng):
+    f = FUNCTIONS[name]()
+    x = np.vstack([_points(rng, f.dim), _edge_rows(f)])
+    for g in (f, conjugate_function(f)):
+        for public, kernel in ((g.value, g.value_kernel), (g.conjugate, g.conjugate_kernel)):
+            stacked = kernel(x)
+            assert stacked.shape == (len(x),)
+            want = np.array([public(row) for row in x])
+            assert stacked.tobytes() == want.tobytes()
+            # one point is a stack of one
+            assert np.ndim(kernel(x[-1])) == 0
+    if f.name == "subspace":
+        # half the tolerance off U (or U-perp) is in, twice is out
+        edges = _edge_rows(f)
+        assert (f.value_kernel(edges[0::4]) == 0.0).all()
+        assert (f.value_kernel(edges[1::4]) == np.inf).all()
+        assert (f.conjugate_kernel(edges[2::4]) == 0.0).all()
+        assert (f.conjugate_kernel(edges[3::4]) == np.inf).all()
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))

@@ -9,7 +9,10 @@ with G_f(x, x*) = f(x) + f*(x*) - <x, x*> and
 C_{A,gamma}(x, x*) = ||x - J_{gamma A}(x + gamma x*)||^2 / gamma.
 
 Each public function validates its inputs once and hands the validated
-arrays to the private helpers below, which trust them.
+arrays to the private helpers below, which trust them.  ``_gap``,
+``_minty`` and ``_carlier`` are row-wise: they take one point of shape
+``(dim,)`` with a float gamma, or stacks of shape ``(m, dim)`` with an
+``(m, 1)`` gamma column, and give a float or an ``(m,)`` array.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, INF, as_vector, inner, membership_scale
+from .core import DEFAULT_TOLERANCES, INF, as_vector, inner, within_membership
 
 
 def gap(f, x, x_star):
@@ -33,11 +36,13 @@ def gap(f, x, x_star):
 
 
 def _gap(f, x, x_star):
-    fx = f.value_kernel(x)
-    fs = f.conjugate_kernel(x_star)
-    if fx == INF or fs == INF:
-        return INF
-    return float(fx + fs - inner(x, x_star))
+    # where f(x) or f*(x*) is +inf the gap is +inf, without inf - inf
+    total = f.value_kernel(x) + f.conjugate_kernel(x_star)
+    if np.ndim(total) == 0:
+        return INF if total == INF else float(total - np.vecdot(x, x_star))
+    out = np.full(total.shape, INF)
+    np.subtract(total, np.vecdot(x, x_star), out=out, where=total != INF)
+    return out
 
 
 def _check_gamma(gamma):
@@ -58,7 +63,7 @@ def carlier_bound(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    return _carlier(_minty(A.resolvent, gamma, x, x_star))
+    return float(_carlier(_minty(A.resolvent, gamma, x, x_star)))
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,9 @@ def _minty(resolvent, gamma, x, x_star):
 
 def _carlier(pair):
     d = pair.x - pair.a
-    return float(np.dot(d, d)) / pair.gamma
+    gamma = pair.gamma
+    # the (m, 1) gamma column of a stack divides its (m,) squared norms
+    return np.vecdot(d, d) / (gamma[:, 0] if np.ndim(gamma) else gamma)
 
 
 def dual_carlier_check(A, gamma, x, x_star):
@@ -107,7 +114,7 @@ def dual_carlier_check(A, gamma, x, x_star):
     x_star = as_vector(x_star, A.dim, "x_star")
     lhs = _carlier(_minty(A.resolvent, gamma, x, x_star))
     rhs = _carlier(_minty(A.inverse().resolvent, _check_gamma(1.0 / gamma), x_star, x))
-    return lhs, rhs
+    return float(lhs), float(rhs)
 
 
 def fitzpatrick_bound(entry, x, x_star):
@@ -201,12 +208,11 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
     fitz = _fitzpatrick(f, x, x_star)
     pair = _minty(f.prox, gamma, x, x_star)
 
-    gap_zero = bool(g <= membership_scale(tol, x, x_star))
+    gap_zero = bool(within_membership(g, tol, x, x_star))
 
     a, u = pair.a, pair.a_star
-    sharp = (
-        _gap(f, a, x_star) <= membership_scale(tol, a, x_star)
-        and _gap(f, x, u) <= membership_scale(tol, x, u)
+    sharp = within_membership(_gap(f, a, x_star), tol, a, x_star) and within_membership(
+        _gap(f, x, u), tol, x, u
     )
 
     return BoundReport(
@@ -215,7 +221,7 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
         gamma=gamma,
         gap=g,
         fitzpatrick=fitz,
-        carlier=_carlier(pair),
+        carlier=float(_carlier(pair)),
         gap_zero=gap_zero,
         gap_equals_carlier=bool(sharp),
     )

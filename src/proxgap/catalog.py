@@ -41,9 +41,8 @@ from .core import (
     DEFAULT_TOLERANCES,
     INF,
     as_vector,
-    inner,
-    membership_scale,
-    norm_sq,
+    row_norm,
+    within_membership,
 )
 from .lambertw import lambert_w_exp
 
@@ -123,7 +122,8 @@ class ConvexFunction:
     test and the brute-force oracles call on validated points and grids.
     ``prox`` maps (gamma, z) to prox_{gamma f}(z) and ``prox_kernel`` is
     its kernel.  ``fitzpatrick_gap`` is F_{df}(x, x*) - <x, x*> when a
-    closed form is known; it trusts its validated inputs.
+    closed form is known; it is row-wise and trusting like a value kernel
+    (one point gives a float64 scalar, a stack an ``(m,)`` array).
     ``conjugate_prox`` is prox_{sigma f*} and powers the inverse of the
     subdifferential, with ``conjugate_prox_kernel`` as its kernel; when
     ``conjugate_prox`` is absent both are derived from the prox by the
@@ -152,6 +152,10 @@ class Operator:
 
     ``resolvent`` maps (gamma, z) to J_{gamma A}(z) for gamma > 0, and
     ``resolvent_kernel`` is its trusted array kernel (module docstring).
+    ``graph_kernel(x, x_star)`` tests (x, x*) in gr A row by row on
+    trusted points (a bool for one point, an ``(m,)`` mask for a stack);
+    :meth:`graph_contains` is its validated batch of one.
+    ``fitzpatrick_gap`` is row-wise and trusting in the same way.
     ``dom``/``ran`` describe dom A and ran A.  ``inverse_factory``, when
     present, builds A^{-1} from closed forms; otherwise the generic
     resolvent identity is used.
@@ -161,16 +165,26 @@ class Operator:
     dim: int
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     resolvent_kernel: Callable[[float, np.ndarray], np.ndarray]
-    graph_contains: Callable[[np.ndarray, np.ndarray], bool]
+    graph_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dom: SetSpec
     ran: SetSpec
-    fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     inverse_factory: Optional[Callable[[], "Operator"]] = None
 
     def inverse(self):
-        if self.inverse_factory is not None:
-            return self.inverse_factory()
-        return _generic_inverse(self)
+        """A^{-1}, built on the first call; later calls return the same object."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            factory = self.inverse_factory
+            inv = factory() if factory is not None else _generic_inverse(self)
+            object.__setattr__(self, "_inverse", inv)
+        return inv
+
+    def graph_contains(self, x, x_star):
+        """Whether (x, x*) lies in gr A: ``graph_kernel`` on one validated pair."""
+        x = as_vector(x, self.dim, "x")
+        x_star = as_vector(x_star, self.dim, "x_star")
+        return bool(self.graph_kernel(x, x_star))
 
     def in_domain(self, x):
         return bool(self.dom.contains(as_vector(x, self.dim, "x")))
@@ -196,7 +210,7 @@ def _generic_inverse(A):
         dim=A.dim,
         resolvent=_validated(kernel, A.dim, "w"),
         resolvent_kernel=kernel,
-        graph_contains=lambda y, y_star: A.graph_contains(y_star, y),
+        graph_kernel=lambda y, y_star: A.graph_kernel(y_star, y),
         dom=A.ran,
         ran=A.dom,
         fitzpatrick_gap=swapped_fitz,
@@ -244,24 +258,23 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
     """The operator df for a catalog function f.
 
     The resolvent is the prox, graph membership is the Fenchel-Young
-    equality test G_f(x, x*) <= abs_tol*(1 + ||x|| + ||x*||), and the
-    inverse is df* built from the conjugate.
+    equality test G_f(x, x*) <= abs_tol*(1 + ||x|| + ||x*||) (row-wise,
+    see :func:`~proxgap.core.within_membership`), and the inverse is df*
+    built from the conjugate.
     """
     if f.subdiff_domain is None or f.subdiff_range is None:
         raise ValueError(f"catalog entry '{f.name}' lacks subdifferential domain/range data")
 
-    def graph_contains(x, x_star):
-        x = as_vector(x, f.dim, "x")
-        x_star = as_vector(x_star, f.dim, "x_star")
-        g = f.value_kernel(x) + f.conjugate_kernel(x_star) - inner(x, x_star)
-        return bool(g <= membership_scale(tol, x, x_star))
+    def graph_kernel(x, x_star):
+        g = f.value_kernel(x) + f.conjugate_kernel(x_star) - np.vecdot(x, x_star)
+        return within_membership(g, tol, x, x_star)
 
     return Operator(
         name=f"subdiff({f.name})",
         dim=f.dim,
         resolvent=f.prox,
         resolvent_kernel=f.prox_kernel,
-        graph_contains=graph_contains,
+        graph_kernel=graph_kernel,
         dom=f.subdiff_domain,
         ran=f.subdiff_range,
         fitzpatrick_gap=f.fitzpatrick_gap,
@@ -292,7 +305,8 @@ def make_energy(dim):
     prox = _validated(prox_kernel, dim, "z")
 
     def fitz_gap(x, x_star):
-        return 0.25 * norm_sq(x - x_star)
+        d = x - x_star
+        return 0.25 * np.vecdot(d, d)
 
     return ConvexFunction(
         name="energy",
@@ -357,9 +371,8 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         return (z @ Q.T) @ Q
 
     def within_tol(d, z):
-        # ||d|| <= abs_tol*(1 + ||z||) row by row: for one point,
-        # sqrt(vecdot) has the bits of np.linalg.norm in membership_scale
-        return np.sqrt(np.vecdot(d, d)) <= tol.abs_tol * (1.0 + np.sqrt(np.vecdot(z, z)))
+        # ||d|| <= abs_tol*(1 + ||z||) row by row
+        return within_membership(row_norm(d), tol, z)
 
     def in_U(z):
         return within_tol(z - project(z), z)
@@ -380,7 +393,7 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         return w - project(w)
 
     def fitz_gap(x, x_star):
-        return 0.0 if (in_U(x) and in_Uperp(x_star)) else INF
+        return np.where(in_U(x) & in_Uperp(x_star), 0.0, INF)[()]
 
     member_U = SetSpec(contains=in_U, closure_contains=in_U)
     member_Uperp = SetSpec(contains=in_Uperp, closure_contains=in_Uperp)
@@ -566,13 +579,12 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
         z0, z1 = z[..., :1], z[..., 1:]
         return np.concatenate((z0 + gamma * z1, -gamma * z0 + z1), axis=-1) / (1.0 + gamma * gamma)
 
-    def graph_contains(x, x_star):
-        x = as_vector(x, 2, "x")
-        x_star = as_vector(x_star, 2, "x_star")
-        return float(np.linalg.norm(apply_rotator(x) - x_star)) <= membership_scale(tol, x, x_star)
+    def graph_kernel(x, x_star):
+        turned = np.stack((-x[..., 1], x[..., 0]), axis=-1)
+        return within_membership(row_norm(turned - x_star), tol, x, x_star)
 
     def fitz_gap(x, x_star):
-        return 0.0 if graph_contains(x, x_star) else INF
+        return np.where(graph_kernel(x, x_star), 0.0, INF)[()]
 
     def make_inverse():
         def inv_resolvent(mu, w):
@@ -580,17 +592,17 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
             return np.concatenate((w0 - mu * w1, mu * w0 + w1), axis=-1) / (1.0 + mu * mu)
 
         def inv_graph(y, y_star):
-            return graph_contains(y_star, y)
+            return graph_kernel(y_star, y)
 
         def inv_fitz(u, u_star):
-            return 0.0 if inv_graph(u, u_star) else INF
+            return np.where(inv_graph(u, u_star), 0.0, INF)[()]
 
         return Operator(
             name="inverse(rotator)",
             dim=2,
             resolvent=_validated(inv_resolvent, 2, "w"),
             resolvent_kernel=inv_resolvent,
-            graph_contains=inv_graph,
+            graph_kernel=inv_graph,
             dom=_all_space(),
             ran=_all_space(),
             fitzpatrick_gap=inv_fitz,
@@ -602,7 +614,7 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
         dim=2,
         resolvent=_validated(resolvent, 2, "z"),
         resolvent_kernel=resolvent,
-        graph_contains=graph_contains,
+        graph_kernel=graph_kernel,
         dom=_all_space(),
         ran=_all_space(),
         fitzpatrick_gap=fitz_gap,

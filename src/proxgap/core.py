@@ -74,9 +74,13 @@ def inner(x, y):
     return float(np.dot(x, y))
 
 
-def norm_sq(x):
-    x = np.asarray(x, dtype=float)
-    return float(np.dot(x, x))
+def row_norm(x):
+    """Euclidean norm of one point, or of each row of an ``(m, dim)`` stack.
+
+    sqrt(vecdot(x, x)), which has the bits of ``np.linalg.norm`` for one
+    point; +inf where the square sum overflows (norms above about 1.3e154).
+    """
+    return np.sqrt(np.vecdot(x, x))
 
 
 def membership_scale(tol, *vectors):
@@ -84,8 +88,19 @@ def membership_scale(tol, *vectors):
 
     Set-membership and graph-membership tests use
     abs_tol * (1 + sum of norms) so they stay meaningful for large inputs.
+    Row-wise over stacks, like :func:`row_norm`.
     """
     scale = 1.0
     for v in vectors:
-        scale += float(np.linalg.norm(v))
+        scale = scale + row_norm(v)
     return tol.abs_tol * scale
+
+
+def within_membership(err, tol, *vectors):
+    """``err <= membership_scale(tol, *vectors)``, row by row.
+
+    False wherever the scale overflowed to +inf: a norm too large to
+    square leaves membership undecided, and undecided is not a member.
+    """
+    scale = membership_scale(tol, *vectors)
+    return (err <= scale) & (scale < INF)

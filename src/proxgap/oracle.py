@@ -56,15 +56,20 @@ class GridMax:
     on_boundary: bool
 
 
-def _scan_box(f, x_star, lows, highs, n):
-    axes = [np.linspace(lows[i], highs[i], n) for i in range(len(lows))]
-    if len(axes) == 1:
-        points = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-    objective = points @ x_star - f.value_kernel(points)
-    objective = np.where(np.isnan(objective), -INF, objective)
+def _grid(lows, highs, n):
+    """The n^dim points of the box, first axis slowest (meshgrid "ij" order)."""
+    dim = len(lows)
+    points = np.empty((n,) * dim + (dim,))
+    for i in range(dim):
+        points[..., i] = np.linspace(lows[i], highs[i], n).reshape((-1,) + (1,) * (dim - 1 - i))
+    return points.reshape(-1, dim)
+
+
+def _scan(points, values, x_star, lows, highs):
+    """The best grid point for <x, x*> - f(x), given f on the grid."""
+    objective = points @ x_star
+    objective -= values
+    objective[np.isnan(objective)] = -INF
     top = float(np.max(objective))
     if top == -INF:
         return top, points[0]
@@ -72,9 +77,14 @@ def _scan_box(f, x_star, lows, highs, n):
     # a boundary incumbent
     near = objective >= top - 1e-12 * (1.0 + abs(top))
     center = 0.5 * (lows + highs)
-    cand = points[near]
+    cand = points[np.flatnonzero(near)]  # row indices: a mask over rows indexes slowly
     idx = int(np.argmin(np.sum((cand - center) ** 2, axis=1)))
     return top, cand[idx]
+
+
+def _scan_box(f, x_star, lows, highs, n):
+    points = _grid(lows, highs, n)
+    return _scan(points, f.value_kernel(points), x_star, lows, highs)
 
 
 def numeric_conjugate(f, x_star, grid=GridSpec()):
@@ -84,32 +94,43 @@ def numeric_conjugate(f, x_star, grid=GridSpec()):
     around the incumbent (clipped to the original box).  An incumbent
     that ends on the original boundary is flagged: the true supremum is
     then suspected to be +inf.
+
+    ``x_star`` is one point, giving one GridMax, or a ``(k, dim)`` stack
+    of queries, giving a list of k GridMax.  The queries of a stack share
+    the round-0 scan of the whole box and its f values; each result
+    equals the one-point call on its query.
     """
     if f.dim > 2:
         raise ValueError(f"numeric_conjugate supports dim <= 2, got {f.dim}")
-    x_star = as_vector(x_star, f.dim, "x_star")
+    one = np.ndim(x_star) != 2
+    queries = [as_vector(q, f.dim, "x_star") for q in ([x_star] if one else x_star)]
     n = grid.resolve_points(f.dim)
 
     lows = np.full(f.dim, grid.lo)
     highs = np.full(f.dim, grid.hi)
-    best_val, best_arg = _scan_box(f, x_star, lows, highs, n)
-    half_width = 0.5 * (grid.hi - grid.lo)
-    for _ in range(grid.refine_rounds):
-        half_width /= 10.0
-        lows = np.clip(best_arg - half_width, grid.lo, grid.hi)
-        highs = np.clip(best_arg + half_width, grid.lo, grid.hi)
-        val, arg = _scan_box(f, x_star, lows, highs, n)
-        if val > best_val:
-            best_val, best_arg = val, arg
-
-    if best_val == -INF:
-        raise ValueError("objective is -inf on the entire grid")
-
+    points = _grid(lows, highs, n)
+    values = f.value_kernel(points)
     spacing = (grid.hi - grid.lo) / (n - 1)
-    on_boundary = bool(
-        np.any(best_arg <= grid.lo + spacing) or np.any(best_arg >= grid.hi - spacing)
-    )
-    return GridMax(value=best_val, argmax=best_arg, on_boundary=on_boundary)
+    results = []
+    for q in queries:
+        best_val, best_arg = _scan(points, values, q, lows, highs)
+        half_width = 0.5 * (grid.hi - grid.lo)
+        for _ in range(grid.refine_rounds):
+            half_width /= 10.0
+            box_lo = np.clip(best_arg - half_width, grid.lo, grid.hi)
+            box_hi = np.clip(best_arg + half_width, grid.lo, grid.hi)
+            val, arg = _scan_box(f, q, box_lo, box_hi, n)
+            if val > best_val:
+                best_val, best_arg = val, arg
+
+        if best_val == -INF:
+            raise ValueError("objective is -inf on the entire grid")
+
+        on_boundary = bool(
+            np.any(best_arg <= grid.lo + spacing) or np.any(best_arg >= grid.hi - spacing)
+        )
+        results.append(GridMax(value=best_val, argmax=best_arg, on_boundary=on_boundary))
+    return results[0] if one else results
 
 
 def _line_points(p, axis, ts):

@@ -4,6 +4,16 @@ Each suite hammers one contract (chain ordering, duality, Minty
 identities, the pair inequality, oracle agreement) on reproducible
 random inputs.  ``slack`` overrides every per-check tolerance at once;
 passing 0.0 is the supported way to prove the suites can fail.
+
+The suites evaluate stacks.  Each catalog entry draws all of its inputs
+as one block, in the order a loop over single points would draw them,
+repeats each point once per gamma of ``GAMMA_SET`` against an ``(m, 1)``
+gamma column, and makes one row-wise call per quantity: the ``bounds``
+helpers, the catalog kernels, one inverse per operator and one shared
+grid for the oracle's conjugate queries.  Every check, tolerance and
+finiteness check of the per-point loops is kept, so the counts and the
+failure messages are theirs; a message is formatted only for a failure
+that gets reported, from the public per-point call where there is one.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_report, dual_carlier_check, pair_inequality_check
+from .bounds import _carlier, _gap, _minty, bound_report, dual_carlier_check, pair_inequality_check
 from .catalog import (
     make_burg,
     make_energy,
@@ -22,7 +32,7 @@ from .catalog import (
     make_subspace_indicator,
     subdifferential_operator,
 )
-from .core import INF, inner, norm_sq
+from .core import INF
 from .oracle import numeric_conjugate, numeric_prox
 
 _MAX_REPORTED = 5
@@ -42,12 +52,17 @@ class SuiteResult:
         return self.failed == 0
 
     def record(self, ok, message):
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if len(self.failures) < _MAX_REPORTED:
-                self.failures.append(message)
+        """Record a sequence of checks, in order.
+
+        ``ok`` holds one flag per check; ``message(i)`` formats check i
+        and is called only for the failures that get reported.
+        """
+        ok = np.asarray(ok, dtype=bool)
+        failed = np.flatnonzero(~ok)
+        self.passed += ok.size - failed.size
+        self.failed += failed.size
+        for i in failed[: _MAX_REPORTED - len(self.failures)]:
+            self.failures.append(message(int(i)))
 
 
 def _pick(slack, default):
@@ -67,36 +82,73 @@ def operator_entries():
     return [subdifferential_operator(f) for f in function_entries()] + [make_rotator()]
 
 
+def _domain_points(f, draws):
+    """Points of dom f from standard normal draws, row by row."""
+    if f.name == "energy":
+        return draws
+    if f.name == "subspace":
+        return f.prox_kernel(1.0, draws)
+    return np.abs(draws) + 0.1
+
+
 def domain_sample(f, rng):
     """A point of dom f (for subspace: of the subspace itself)."""
-    if f.name == "energy":
-        return rng.normal(size=f.dim)
-    if f.name == "subspace":
-        return f.prox(1.0, rng.normal(size=f.dim))
-    return np.array([abs(rng.normal()) + 0.1])
+    return _domain_points(f, rng.normal(size=f.dim))
+
+
+def _finite(name, stack):
+    """The finiteness check a public call makes on each row of ``stack``."""
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return stack
+
+
+def _checked(kernel):
+    """``kernel`` behind the finiteness check of its stacked input z."""
+
+    def call(gamma, z):
+        return kernel(gamma, _finite("z", z))
+
+    return call
+
+
+def _over_gammas(*points):
+    """The ``(m, 1)`` gamma column and each point stack repeated to match:
+    every point once per gamma of ``GAMMA_SET``, point-major."""
+    gamma = np.tile(GAMMA_SET, len(points[0]))[:, None]
+    return (gamma, *(np.repeat(p, len(GAMMA_SET), axis=0) for p in points))
+
+
+def _label(name, gamma, x, x_star, r):
+    return f"{name} gamma={float(gamma[r, 0])} x={x[r].tolist()} x_star={x_star[r].tolist()}"
 
 
 def run_chain_suite(rng, slack=None):
     result = SuiteResult("chain-inequality")
     s = _pick(slack, 1e-9)
     for f in function_entries():
-        for _ in range(50):
-            x = domain_sample(f, rng)
-            x_star = rng.normal(size=f.dim)
-            for gamma in GAMMA_SET:
-                rep = bound_report(f, gamma, x, x_star)
-                scale = s * (1.0 + abs(rep.carlier))
-                upper = rep.gap
-                ok = True
-                if rep.fitzpatrick is not None:
-                    ok = rep.fitzpatrick <= upper + scale
-                    upper = min(upper, rep.fitzpatrick)
-                ok = ok and rep.carlier <= upper + scale and rep.carlier >= -scale
-                result.record(
-                    ok,
-                    f"{f.name} gamma={gamma} x={x.tolist()} x_star={x_star.tolist()}: "
-                    f"gap={rep.gap!r} fitz={rep.fitzpatrick!r} carlier={rep.carlier!r}",
-                )
+        # normal draws are finite, and so are the points made from them
+        draws = rng.normal(size=(50, 2, f.dim))
+        gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
+        g = _gap(f, x, x_star)
+        c = _carlier(_minty(_checked(f.prox_kernel), gamma, x, x_star))
+        scale = s * (1.0 + np.abs(c))
+        upper = g
+        ok = np.ones(g.shape, dtype=bool)
+        if f.fitzpatrick_gap is not None:
+            fitz = f.fitzpatrick_gap(x, x_star)
+            ok = fitz <= upper + scale
+            upper = np.minimum(upper, fitz)
+        ok &= (c <= upper + scale) & (c >= -scale)
+
+        def message(r):
+            rep = bound_report(f, gamma[r, 0], x[r], x_star[r])
+            return (
+                f"{_label(f.name, gamma, x, x_star, r)}: "
+                f"gap={rep.gap!r} fitz={rep.fitzpatrick!r} carlier={rep.carlier!r}"
+            )
+
+        result.record(ok, message)
     return result
 
 
@@ -104,60 +156,62 @@ def run_duality_suite(rng, slack=None):
     result = SuiteResult("duality")
     s = _pick(slack, 1e-10)
     for A in operator_entries():
-        for _ in range(40):
-            x = rng.normal(size=A.dim)
-            x_star = rng.normal(size=A.dim)
-            for gamma in GAMMA_SET:
-                lhs, rhs = dual_carlier_check(A, gamma, x, x_star)
-                ok = abs(lhs - rhs) <= s * (1.0 + abs(lhs))
-                result.record(
-                    ok,
-                    f"{A.name} gamma={gamma} x={x.tolist()} x_star={x_star.tolist()}: "
-                    f"lhs={lhs!r} rhs={rhs!r}",
-                )
+        draws = rng.normal(size=(40, 2, A.dim))
+        gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
+        lhs = _carlier(_minty(_checked(A.resolvent_kernel), gamma, x, x_star))
+        rhs = _carlier(_minty(_checked(A.inverse().resolvent_kernel), 1.0 / gamma, x_star, x))
+        ok = np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs))
+
+        def message(r):
+            lhs_r, rhs_r = dual_carlier_check(A, gamma[r, 0], x[r], x_star[r])
+            return f"{_label(A.name, gamma, x, x_star, r)}: lhs={lhs_r!r} rhs={rhs_r!r}"
+
+        result.record(ok, message)
     return result
+
+
+def _close(lhs, rhs, s):
+    return np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs) + np.abs(rhs))
 
 
 def run_minty_suite(rng, slack=None):
     result = SuiteResult("minty-identities")
     s_exact = _pick(slack, 1e-12)
     s_rel = _pick(slack, 1e-10)
+    # the gamma factors as Python floats, as a per-point check computes them
+    joint = np.tile([1.0 + 1.0 / g**2 for g in GAMMA_SET], 20)
+    difference = np.tile([(1.0 + 1.0 / g) ** 2 for g in GAMMA_SET], 20)
     for A in operator_entries():
-        for _ in range(20):
-            x = rng.normal(size=A.dim)
-            x_star = rng.normal(size=A.dim)
-            for gamma in GAMMA_SET:
-                z = x + gamma * x_star
-                a = A.resolvent(gamma, z)
-                a_star = (z - a) / gamma
-                label = f"{A.name} gamma={gamma} x={x.tolist()} x_star={x_star.tolist()}"
+        draws = rng.normal(size=(20, 2, A.dim))
+        gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
+        z = x + gamma * x_star
+        a = _finite("a", A.resolvent_kernel(gamma, _finite("z", z)))
+        a_star = _finite("a_star", (z - a) / gamma)
 
-                result.record(A.graph_contains(a, a_star), f"{label}: (a, a*) not in graph")
+        m3 = np.max(np.abs(z - (a + gamma * a_star)), axis=1)
+        d, e = x - a, x_star - a_star
+        sq = np.vecdot(d, d)
+        identities = (
+            ("joint norm", sq + np.vecdot(e, e), joint * sq),
+            ("difference norm", np.vecdot(d - e, d - e), difference * sq),
+            ("key product", np.vecdot(a - x, e), sq / gamma[:, 0]),
+        )
+        ok = np.column_stack(
+            [A.graph_kernel(a, a_star), m3 <= s_exact]
+            + [_close(lhs, rhs, s_rel) for _, lhs, rhs in identities]
+        )
 
-                m3 = float(np.max(np.abs(z - (a + gamma * a_star))))
-                result.record(m3 <= s_exact, f"{label}: reassembly error {m3!r}")
+        def message(i):
+            r, check = divmod(i, ok.shape[1])
+            label = _label(A.name, gamma, x, x_star, r)
+            if check == 0:
+                return f"{label}: (a, a*) not in graph"
+            if check == 1:
+                return f"{label}: reassembly error {float(m3[r])!r}"
+            name, lhs, rhs = identities[check - 2]
+            return f"{label}: {name} {float(lhs[r])!r} vs {float(rhs[r])!r}"
 
-                sq = norm_sq(x - a)
-                m6_l = sq + norm_sq(x_star - a_star)
-                m6_r = (1.0 + 1.0 / gamma**2) * sq
-                result.record(
-                    abs(m6_l - m6_r) <= s_rel * (1.0 + abs(m6_l) + abs(m6_r)),
-                    f"{label}: joint norm {m6_l!r} vs {m6_r!r}",
-                )
-
-                m8_l = norm_sq((x - a) - (x_star - a_star))
-                m8_r = (1.0 + 1.0 / gamma) ** 2 * sq
-                result.record(
-                    abs(m8_l - m8_r) <= s_rel * (1.0 + abs(m8_l) + abs(m8_r)),
-                    f"{label}: difference norm {m8_l!r} vs {m8_r!r}",
-                )
-
-                key_l = inner(a - x, x_star - a_star)
-                key_r = sq / gamma
-                result.record(
-                    abs(key_l - key_r) <= s_rel * (1.0 + abs(key_l) + abs(key_r)),
-                    f"{label}: key product {key_l!r} vs {key_r!r}",
-                )
+        result.record(ok.ravel(), message)
     return result
 
 
@@ -165,37 +219,41 @@ def run_pair_suite(rng, slack=None):
     result = SuiteResult("pair-inequality")
     s = _pick(slack, 1e-9)
     for f in [make_energy(2), make_burg(), make_shannon()]:
-        for _ in range(50):
-            x = domain_sample(f, rng)
-            y = domain_sample(f, rng)
-            x_star = rng.normal(size=f.dim)
-            y_star = rng.normal(size=f.dim)
-            lhs, rhs = pair_inequality_check(f, x, x_star, y, y_star)
-            ok = lhs == INF or lhs >= rhs - s * (1.0 + abs(rhs))
-            result.record(
-                ok,
-                f"{f.name} x={x.tolist()} y={y.tolist()}: lhs={lhs!r} rhs={rhs!r}",
-            )
+        draws = rng.normal(size=(50, 4, f.dim))
+        x, y = _domain_points(f, draws[:, 0]), _domain_points(f, draws[:, 1])
+        x_star, y_star = draws[:, 2], draws[:, 3]
+        lhs = _gap(f, x, x_star) + _gap(f, y, y_star)
+        rhs = np.vecdot(y - x, x_star - y_star)
+        ok = (lhs == INF) | (lhs >= rhs - s * (1.0 + np.abs(rhs)))
+
+        def message(r):
+            lhs_r, rhs_r = pair_inequality_check(f, x[r], x_star[r], y[r], y_star[r])
+            return f"{f.name} x={x[r].tolist()} y={y[r].tolist()}: lhs={lhs_r!r} rhs={rhs_r!r}"
+
+        result.record(ok, message)
 
     # cross-graph points of the energy: y* = x and x* = y force equality,
     # and equality must certify both graph memberships
     energy = make_energy(2)
     op = subdifferential_operator(energy)
-    for _ in range(20):
-        x = rng.normal(size=2)
-        y = rng.normal(size=2)
-        x_star, y_star = y, x
-        lhs, rhs = pair_inequality_check(energy, x, x_star, y, y_star)
-        equal = abs(lhs - rhs) <= s * (1.0 + abs(rhs))
-        result.record(
-            equal,
-            f"energy equality case x={x.tolist()} y={y.tolist()}: lhs={lhs!r} rhs={rhs!r}",
-        )
-        if equal:
-            result.record(
-                op.graph_contains(x, y_star) and op.graph_contains(y, x_star),
-                f"energy equality case x={x.tolist()} y={y.tolist()}: membership lost",
-            )
+    draws = rng.normal(size=(20, 2, 2))
+    x, y = draws[:, 0], draws[:, 1]
+    lhs = _gap(energy, x, y) + _gap(energy, y, x)
+    rhs = np.vecdot(y - x, y - x)
+    equal = np.abs(lhs - rhs) <= s * (1.0 + np.abs(rhs))
+    member = op.graph_kernel(x, x) & op.graph_kernel(y, y)
+
+    def label(r):
+        return f"energy equality case x={x[r].tolist()} y={y[r].tolist()}"
+
+    def unequal(r):
+        lhs_r, rhs_r = pair_inequality_check(energy, x[r], y[r], y[r], x[r])
+        return f"{label(r)}: lhs={lhs_r!r} rhs={rhs_r!r}"
+
+    for r in range(len(x)):
+        result.record([equal[r]], lambda _: unequal(r))
+        if equal[r]:
+            result.record([member[r]], lambda _: f"{label(r)}: membership lost")
     return result
 
 
@@ -230,23 +288,29 @@ def run_oracle_suite(rng, slack=None, count=5):
     s_conj = _pick(slack, 1e-4)
     s_prox = _pick(slack, 1e-5)
     for f in function_entries():
-        for x_star in conjugate_queries(f, rng, count):
-            closed = f.conjugate(x_star)
-            est = numeric_conjugate(f, x_star)
-            ok = not est.on_boundary and abs(est.value - closed) <= s_conj * (1.0 + abs(closed))
-            result.record(
-                ok,
-                f"{f.name} conjugate at {x_star.tolist()}: closed={closed!r} "
-                f"oracle={est.value!r} boundary={est.on_boundary}",
-            )
+        queries = conjugate_queries(f, rng, count)
+        closed = [f.conjugate(x_star) for x_star in queries]
+        est = numeric_conjugate(f, np.reshape(queries, (-1, f.dim)))
+        result.record(
+            [
+                not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c))
+                for e, c in zip(est, closed)
+            ],
+            lambda i: (
+                f"{f.name} conjugate at {queries[i].tolist()}: closed={closed[i]!r} "
+                f"oracle={est[i].value!r} boundary={est[i].on_boundary}"
+            ),
+        )
         for gamma, z in prox_queries(f, rng, count):
-            closed = f.prox(gamma, z)
-            est = numeric_prox(f, gamma, z)
-            err = float(np.max(np.abs(est - closed)))
+            closed_p = f.prox(gamma, z)
+            est_p = numeric_prox(f, gamma, z)
+            err = float(np.max(np.abs(est_p - closed_p)))
             result.record(
-                err <= s_prox,
-                f"{f.name} prox gamma={gamma} z={z.tolist()}: closed={closed.tolist()} "
-                f"oracle={est.tolist()} err={err!r}",
+                [err <= s_prox],
+                lambda i: (
+                    f"{f.name} prox gamma={gamma} z={z.tolist()}: closed={closed_p.tolist()} "
+                    f"oracle={est_p.tolist()} err={err!r}"
+                ),
             )
     return result
 

@@ -311,3 +311,14 @@ def test_inverse_swaps_domain_and_range(burg):
     assert op.in_domain([2.0]) and not op.in_domain([-2.0])
     assert inv.in_range([2.0]) and not inv.in_range([-2.0])
     assert inv.in_domain([-0.5]) and not inv.in_domain([0.5])
+
+
+def test_inverse_is_built_once(request):
+    import dataclasses
+
+    ops = all_operators(request)
+    ops += [dataclasses.replace(op, inverse_factory=None) for op in list(ops)]
+    for op in ops:
+        inv = op.inverse()
+        assert op.inverse() is inv
+        assert inv.inverse() is inv.inverse()

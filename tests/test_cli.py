@@ -99,6 +99,26 @@ def test_eval_flag_overrides_env(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "envdir").exists()
 
 
+# norms past about 1.3e154 overflow when squared; membership must then
+# say no instead of comparing against a +inf tolerance
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, x, xstar",
+    [
+        ("shannon", "1e306", "1"),
+        ("subspace:dim=2:basis=1,0", "1e200,1e190", "0,1"),
+    ],
+)
+def test_eval_overflowed_membership_scale_is_not_membership(capsys, spec, x, xstar):
+    code, out, _ = run_cli(
+        capsys, "eval", "--spec", spec, "--x", x, "--xstar", xstar, "--gamma", "1"
+    )
+    assert code == 0
+    rep = report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
+    assert rep.gap == math.inf
+    assert not rep.gap_zero and not rep.gap_equals_carlier
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [

@@ -12,7 +12,8 @@ from proxgap.core import (
     as_vector,
     inner,
     membership_scale,
-    norm_sq,
+    row_norm,
+    within_membership,
 )
 
 
@@ -39,11 +40,6 @@ def test_inner_is_bilinear(xs, ys, t):
     lhs = inner(t * x, y)
     rhs = t * inner(x, y)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-
-
-def test_norm_sq():
-    assert norm_sq([3.0, 4.0]) == 25.0
-    assert norm_sq([0.0]) == 0.0
 
 
 def test_as_vector_coerces_and_checks():
@@ -89,3 +85,21 @@ def test_membership_scale_grows_with_inputs():
     assert small == tol.abs_tol
     assert big > small
     assert math.isclose(big, tol.abs_tol * (1.0 + math.hypot(100.0, 100.0)))
+
+
+def test_row_norm_has_the_bits_of_linalg_norm():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-3.0, 100.0, size=(50, 1))
+    norms = row_norm(x)
+    assert norms.shape == (50,)
+    assert all(norms[i] == np.linalg.norm(x[i]) for i in range(50))
+    assert row_norm(x[0]) == np.linalg.norm(x[0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_membership_rejects_an_overflowed_scale():
+    tol = DEFAULT_TOLERANCES
+    assert within_membership(0.0, tol, np.array([1e150, 0.0]))
+    assert not within_membership(0.0, tol, np.array([1e200, 0.0]))
+    rows = within_membership(np.zeros(2), tol, np.array([[1e150, 0.0], [1e200, 0.0]]))
+    assert rows.tolist() == [True, False]

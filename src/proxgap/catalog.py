@@ -49,6 +49,9 @@ from .lambertw import lambert_w_exp
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
 _EXP_CEIL = 690.0
 
+# s * s stays finite for |s| below this (sqrt of the largest float is 1.34e154)
+_SQUARE_SAFE = 1e154
+
 
 @dataclass(frozen=True)
 class SetSpec:
@@ -444,17 +447,30 @@ def make_burg():
         np.log(-t, out=out, where=neg)
         return np.subtract(-1.0, out, out=out, where=neg)[()]
 
+    # where s * s would overflow, the roots come from s/2 and half the
+    # discriminant, hypot(s/2, sqrt(gamma)), which stay finite up to the
+    # largest float
     def scalar_prox(gamma, s):
-        disc = math.sqrt(s * s + 4.0 * gamma)
+        if -_SQUARE_SAFE < s < _SQUARE_SAFE:
+            disc = math.sqrt(s * s + 4.0 * gamma)
+            if s >= 0.0:
+                return 0.5 * (s + disc)
+            return 2.0 * gamma / (disc - s)
+        half = math.hypot(0.5 * s, math.sqrt(gamma))
         if s >= 0.0:
-            return 0.5 * (s + disc)
-        return 2.0 * gamma / (disc - s)
+            return 0.5 * s + half
+        return gamma / (half - 0.5 * s)
 
     def scalar_conjugate_prox(sigma, t):
-        disc = math.sqrt(t * t + 4.0 * sigma)
+        if -_SQUARE_SAFE < t < _SQUARE_SAFE:
+            disc = math.sqrt(t * t + 4.0 * sigma)
+            if t <= 0.0:
+                return 0.5 * (t - disc)
+            return -2.0 * sigma / (t + disc)
+        half = math.hypot(0.5 * t, math.sqrt(sigma))
         if t <= 0.0:
-            return 0.5 * (t - disc)
-        return -2.0 * sigma / (t + disc)
+            return 0.5 * t - half
+        return -sigma / (0.5 * t + half)
 
     prox_kernel = _elementwise(scalar_prox)
     conjugate_prox_kernel = _elementwise(scalar_conjugate_prox)

@@ -192,9 +192,10 @@ def run_oracle_compare(args):
     rng = np.random.default_rng(args.seed)
 
     worst_conj = 0.0
-    for x_star in verify_mod.conjugate_queries(entry, rng, args.count):
+    queries = verify_mod.conjugate_queries(entry, rng, args.count)
+    stack = np.reshape(queries, (-1, entry.dim))
+    for x_star, est in zip(queries, oracle_mod.numeric_conjugate(entry, stack)):
         closed = entry.conjugate(x_star)
-        est = oracle_mod.numeric_conjugate(entry, x_star)
         delta = abs(est.value - closed)
         worst_conj = max(worst_conj, delta / (1.0 + abs(closed)))
         print(

@@ -5,6 +5,12 @@ confront every closed-form conjugate and prox with an independent
 numeric estimate.  Conjugates come from a refined grid maximization of
 <x, x*> - f(x); proxes from golden-section search (cyclic over
 coordinates beyond one dimension).
+
+Neither oracle redoes work whose result is already fixed: a stack of
+conjugate queries evaluates f once per distinct refinement box in each
+round, and the coordinate search skips a search that could only repeat
+the last one on its axis.  Both shortcuts are exact, so every result is
+bit for bit that of the plain per-query, per-sweep loops.
 """
 
 from __future__ import annotations
@@ -83,8 +89,13 @@ def _scan(points, values, x_star, lows, highs):
 
 
 def _scan_box(f, x_star, lows, highs, n):
+    """_scan on the grid of the box for one query, or for each query of a
+    list; f is evaluated on the grid once."""
     points = _grid(lows, highs, n)
-    return _scan(points, f.value_kernel(points), x_star, lows, highs)
+    values = f.value_kernel(points)
+    if isinstance(x_star, list):
+        return [_scan(points, values, q, lows, highs) for q in x_star]
+    return _scan(points, values, x_star, lows, highs)
 
 
 def numeric_conjugate(f, x_star, grid=GridSpec()):
@@ -96,9 +107,14 @@ def numeric_conjugate(f, x_star, grid=GridSpec()):
     then suspected to be +inf.
 
     ``x_star`` is one point, giving one GridMax, or a ``(k, dim)`` stack
-    of queries, giving a list of k GridMax.  The queries of a stack share
-    the round-0 scan of the whole box and its f values; each result
-    equals the one-point call on its query.
+    of queries, giving a list of k GridMax.  A stack runs round by round:
+    its queries share the round-0 scan of the whole box, and in each
+    refinement round the queries whose boxes are equal byte for byte
+    share one evaluation of f on that box (tied incumbents, as on a flat
+    objective, give such boxes).  A query's box depends only on its own
+    incumbent, and a shared box is the same grid with the same f values,
+    so each result equals the one-point call on its query.  One box and
+    its values are alive at a time.
     """
     if f.dim > 2:
         raise ValueError(f"numeric_conjugate supports dim <= 2, got {f.dim}")
@@ -106,26 +122,27 @@ def numeric_conjugate(f, x_star, grid=GridSpec()):
     queries = [as_vector(q, f.dim, "x_star") for q in ([x_star] if one else x_star)]
     n = grid.resolve_points(f.dim)
 
-    lows = np.full(f.dim, grid.lo)
-    highs = np.full(f.dim, grid.hi)
-    points = _grid(lows, highs, n)
-    values = f.value_kernel(points)
+    best = _scan_box(f, queries, np.full(f.dim, grid.lo), np.full(f.dim, grid.hi), n)
+    half_width = 0.5 * (grid.hi - grid.lo)
+    for _ in range(grid.refine_rounds):
+        half_width /= 10.0
+        boxes = {}
+        for i, (_, arg) in enumerate(best):
+            box_lo = np.clip(arg - half_width, grid.lo, grid.hi)
+            box_hi = np.clip(arg + half_width, grid.lo, grid.hi)
+            key = (box_lo.tobytes(), box_hi.tobytes())
+            boxes.setdefault(key, (box_lo, box_hi, []))[2].append(i)
+        for box_lo, box_hi, members in boxes.values():
+            scans = _scan_box(f, [queries[i] for i in members], box_lo, box_hi, n)
+            for i, (val, arg) in zip(members, scans):
+                if val > best[i][0]:
+                    best[i] = (val, arg)
+
     spacing = (grid.hi - grid.lo) / (n - 1)
     results = []
-    for q in queries:
-        best_val, best_arg = _scan(points, values, q, lows, highs)
-        half_width = 0.5 * (grid.hi - grid.lo)
-        for _ in range(grid.refine_rounds):
-            half_width /= 10.0
-            box_lo = np.clip(best_arg - half_width, grid.lo, grid.hi)
-            box_hi = np.clip(best_arg + half_width, grid.lo, grid.hi)
-            val, arg = _scan_box(f, q, box_lo, box_hi, n)
-            if val > best_val:
-                best_val, best_arg = val, arg
-
+    for best_val, best_arg in best:
         if best_val == -INF:
             raise ValueError("objective is -inf on the entire grid")
-
         on_boundary = bool(
             np.any(best_arg <= grid.lo + spacing) or np.any(best_arg >= grid.hi - spacing)
         )
@@ -166,6 +183,15 @@ def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
     coarse batch grid to bracket the minimizer (this steps over +inf
     plateaus), then golden-section refines; updates are accepted only
     when the objective improves.
+
+    A search on an axis is skipped when every other axis has been
+    searched since its last search and none of those searches changed p
+    or best.  Its line through p does not depend on p's coordinate on
+    the axis, so it would scan the same values and run the same bracket
+    and golden section as that last search, whose result p already holds
+    (accepted) or best already beats (rejected).  Every later search is
+    then skipped in the same way, so p is returned as final.  In one
+    dimension this drops the sweep that only confirms the first.
     """
     if f.dim > 3:
         raise ValueError(f"numeric_prox supports dim <= 3, got {f.dim}")
@@ -184,9 +210,13 @@ def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
     p = np.clip(z, grid.lo, grid.hi)
     best = objective(p)
     ts = np.linspace(grid.lo, grid.hi, 1001)
-    for _ in range(sweeps):
+    quiet = 0  # searches since the last accepted update of p and best
+    for sweep in range(sweeps):
         moved = 0.0
         for axis in range(f.dim):
+            if sweep and quiet >= f.dim - 1:
+                return p
+            quiet += 1
             line_vals = objective_batch(_line_points(p, axis, ts))
             finite = np.isfinite(line_vals)
             if not np.any(finite):
@@ -210,6 +240,7 @@ def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
                 p = p.copy()
                 p[axis] = t_new
                 best = val_new
+                quiet = 0
         if moved < 1e-12:
             break
     return p

@@ -106,6 +106,35 @@ def test_burg_prox_stable_for_large_negative_input(burg):
     assert abs(p - 1e-12) <= 1e-18
 
 
+HUGE = [1e300, -1e300, np.finfo(float).max, -np.finfo(float).max]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1e-8, 1.0])
+@pytest.mark.parametrize("z", HUGE)
+def test_burg_proxes_finite_where_z_squared_overflows(burg, z, gamma):
+    # prox is the positive root of p^2 - z p - gamma, about z for z >> 0
+    # and gamma/|z| for z << 0; the conjugate prox mirrors it, negative
+    p = float(burg.prox(gamma, [z])[0])
+    q = float(burg.conjugate_prox(gamma, [z])[0])
+    assert math.isfinite(p) and p > 0.0
+    assert math.isfinite(q) and q < 0.0
+    near, far = (p, q) if z > 0.0 else (q, p)
+    assert near == z
+    if abs(gamma / z) >= np.finfo(float).tiny:
+        assert far == pytest.approx(-gamma / z, rel=1e-15)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_burg_proxes_continuous_where_the_scaled_form_starts(burg, sign):
+    # the scaled form starts at |z| = 1e154, below which z * z stays finite
+    start = sign * 1e154
+    below = sign * np.nextafter(1e154, 0.0)
+    for prox in (burg.prox, burg.conjugate_prox):
+        for gamma in (1e-8, 1.0, 1e8):
+            assert prox(gamma, [below])[0] == pytest.approx(prox(gamma, [start])[0], rel=1e-15)
+
+
 # --------------------------------------------------------------- shannon
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from proxgap import catalog, oracle, verify
 from proxgap.bounds import report_from_csv_row
 from proxgap.cli import main
 
@@ -117,6 +118,19 @@ def test_eval_overflowed_membership_scale_is_not_membership(capsys, spec, x, xst
     rep = report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
     assert rep.gap == math.inf
     assert not rep.gap_zero and not rep.gap_equals_carlier
+
+
+# s * s overflows in the Burg prox at z = x + gamma x* = 1e300; the row
+# norm's vecdot overflow is a separate matter
+@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
+def test_eval_burg_prox_past_the_square_overflow(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--spec", "burg", "--x", "1e300", "--xstar", "-1", "--gamma", "1"
+    )
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1] == "1e+300,-1.0,1.0,1e+300,,0.0,false,false"
 
 
 @pytest.mark.parametrize(
@@ -284,6 +298,25 @@ def test_oracle_compare_burg(capsys):
     assert code == 0
     assert "worst conjugate delta" in out
     assert "worst prox delta" in out
+
+
+def test_oracle_compare_stacked_conjugates_equal_one_query_calls(capsys):
+    # the conjugate queries go to the oracle as one stack; every printed
+    # line must be the one a one-query call gives
+    spec = "subspace:dim=2:basis=1,0"
+    code, out, _ = run_cli(capsys, "oracle-compare", "--spec", spec, "--count", "5")
+    assert code == 0
+    f = catalog.parse_spec(spec)
+    queries = verify.conjugate_queries(f, np.random.default_rng(42), 5)
+    lines = [line for line in out.splitlines() if line.startswith("conjugate ")]
+    assert len(lines) == len(queries)
+    for x_star, line in zip(queries, lines):
+        closed = f.conjugate(x_star)
+        est = oracle.numeric_conjugate(f, x_star)
+        assert line == (
+            f"conjugate x_star={x_star.tolist()}: closed={closed!r} "
+            f"oracle={est.value!r} delta={abs(est.value - closed)!r}"
+        )
 
 
 # ------------------------------------------------------------------- pgm

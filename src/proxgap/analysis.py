@@ -260,16 +260,6 @@ def boundary_limit_regressions(gammas=(1e-2, 1e-4, 1e-6, 1e-8), ys=(-1.0, 0.0, 1
     )
 
 
-BOUNDARY_CSV_HEADER = ("entry", "y", "gamma", "carlier", "closed_form")
-
-
-def boundary_csv_rows(report):
-    return [
-        [row.entry, repr(row.y), repr(row.gamma), repr(row.carlier), repr(row.closed_form)]
-        for row in report.rows
-    ]
-
-
 @dataclass(frozen=True)
 class PgmTrace:
     """Proximal-gradient run with per-iterate optimality certificates.

@@ -227,24 +227,35 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
     )
 
 
-def chain_violation(report, tol=DEFAULT_TOLERANCES):
-    """Describe a violation of gap >= fitz >= carlier >= 0, or None.
+def chain_links(gap, fitz, carlier, slack):
+    """Row by row, the masks (fitz <= gap, carlier <= min(gap, fitz), carlier >= 0).
 
-    Comparisons allow abs_tol*(1 + scale) slack; +inf entries satisfy
-    every upper position of the chain.
+    fitz None (no closed form) drops it from the chain.  Each comparison
+    allows slack*(1 + |carlier|), +inf for a +inf carlier, which only a +inf
+    gap and fitz then cap; NaN fails its links.  Plain operators keep the
+    one-point call from :func:`chain_violation` cheap.
     """
-    scale = tol.abs_tol * (1.0 + abs(report.carlier) if report.carlier != INF else 1.0)
-    upper = report.gap
-    if report.fitzpatrick is not None:
-        if report.fitzpatrick > upper + scale:
-            return (
-                f"fitzpatrick {report.fitzpatrick!r} exceeds gap {report.gap!r}"
-            )
-        upper = report.fitzpatrick
-    if report.carlier > upper + scale:
-        return f"carlier {report.carlier!r} exceeds {upper!r}"
-    if report.carlier < -scale:
-        return f"carlier {report.carlier!r} is negative"
+    scale = slack * (1.0 + abs(carlier))
+    capped = (carlier <= gap + scale) & ((carlier < INF) | (gap == INF))
+    if fitz is None:
+        return True, capped, carlier >= -scale
+    # with the line above: carlier <= min(gap, fitz) + scale, as rounding keeps order
+    capped &= (carlier <= fitz + scale) & ((carlier < INF) | (fitz == INF))
+    return fitz <= gap + scale, capped, carlier >= -scale
+
+
+def chain_violation(report, tol=DEFAULT_TOLERANCES):
+    """Describe a violation of :func:`chain_links` at slack abs_tol, or None."""
+    gap, fitz, carlier = report.gap, report.fitzpatrick, report.carlier
+    if carlier != carlier:
+        return f"carlier {carlier!r} is not a number"
+    fitz_ok, capped, nonnegative = chain_links(gap, fitz, carlier, tol.abs_tol)
+    if not fitz_ok:
+        return f"fitzpatrick {fitz!r} exceeds gap {gap!r}"
+    if not capped:
+        return f"carlier {carlier!r} exceeds {gap if fitz is None else min(gap, fitz)!r}"
+    if not nonnegative:
+        return f"carlier {carlier!r} is negative"
     return None
 
 

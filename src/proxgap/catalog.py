@@ -21,12 +21,18 @@ outside the domain.  Prox, conjugate prox and resolvent kernels
 float or an ``(m, 1)`` column of positive floats for a stack; the result
 has the shape of ``z``.  Kernels validate nothing and do not check that
 their output is finite; the one exception is the rescaled point of the
-derived kernels (:func:`_flipped`).  The public maps ``value``,
+flipped kernels (:func:`_flipped`).  The public maps ``value``,
 ``conjugate``, ``prox``, ``conjugate_prox`` and ``resolvent`` are the
 kernels behind one ``as_vector`` call (see :func:`_evaluated` and
 :func:`_validated`); code that holds validated arrays, and drivers that
 check finiteness of their stacked inputs themselves, call the kernels
 directly.
+
+Each formula is written once: Burg's conjugate and conjugate prox are
+derived exactly from its value and prox, and the rotator's inverse
+resolvent from its resolvent.  :func:`_generic_inverse` builds every
+inverse Operator other than a subdifferential's (that is d(f*), built
+from the conjugate); its default kernel is the resolvent flip.
 """
 
 from __future__ import annotations
@@ -49,8 +55,11 @@ from .lambertw import lambert_w_exp
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
 _EXP_CEIL = 690.0
 
-# s * s stays finite for |s| below this (sqrt of the largest float is 1.34e154)
+# s * s + 4 * gamma stays finite for |s| below _SQUARE_SAFE (the square root of
+# the largest float is 1.34e154) and gamma below _GAMMA_SAFE (4 * gamma
+# overflows from about 4.5e307)
 _SQUARE_SAFE = 1e154
+_GAMMA_SAFE = 1e307
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,12 @@ class SetSpec:
 
     contains: Callable[[np.ndarray], bool]
     closure_contains: Callable[[np.ndarray], bool]
+
+
+# R^dim, and (0, inf) and (-inf, 0) on R^1
+_ALL = SetSpec(contains=lambda x: True, closure_contains=lambda x: True)
+_POSITIVE = SetSpec(contains=lambda x: x[0] > 0.0, closure_contains=lambda x: x[0] >= 0.0)
+_NEGATIVE = SetSpec(contains=lambda x: x[0] < 0.0, closure_contains=lambda x: x[0] <= 0.0)
 
 
 def _evaluated(kernel, dim, name):
@@ -111,8 +126,12 @@ def _flipped(kernel):
     return flipped
 
 
-def _all_space():
-    return SetSpec(contains=lambda x: True, closure_contains=lambda x: True)
+def _swapped(pair_map):
+    """(u, u*) -> pair_map(u*, u), or None for None: the graph test or
+    Fitzpatrick gap of an inverse (or a conjugate) from the entry's."""
+    if pair_map is None:
+        return None
+    return lambda u, u_star: pair_map(u_star, u)
 
 
 @dataclass(frozen=True)
@@ -199,24 +218,20 @@ class Operator:
         return bool(self.ran.contains(as_vector(x_star, self.dim, "x_star")))
 
 
-def _generic_inverse(A):
-    """A^{-1} from the resolvent identity J_{mu A^{-1}}(w) = w - mu J_{A/mu}(w/mu)."""
-
-    kernel = _flipped(A.resolvent_kernel)
-
-    swapped_fitz = None
-    if A.fitzpatrick_gap is not None:
-        swapped_fitz = lambda u, u_star: A.fitzpatrick_gap(u_star, u)
-
+def _generic_inverse(A, kernel=None):
+    """A^{-1} with ``kernel`` as the kernel of J_{mu A^{-1}}, by default the
+    resolvent identity J_{mu A^{-1}}(w) = w - mu J_{A/mu}(w/mu)."""
+    if kernel is None:
+        kernel = _flipped(A.resolvent_kernel)
     return Operator(
         name=f"inverse({A.name})",
         dim=A.dim,
         resolvent=_validated(kernel, A.dim, "w"),
         resolvent_kernel=kernel,
-        graph_kernel=lambda y, y_star: A.graph_kernel(y_star, y),
+        graph_kernel=_swapped(A.graph_kernel),
         dom=A.ran,
         ran=A.dom,
-        fitzpatrick_gap=swapped_fitz,
+        fitzpatrick_gap=_swapped(A.fitzpatrick_gap),
         inverse_factory=lambda: A,
     )
 
@@ -235,10 +250,6 @@ def conjugate_function(f):
         star_kernel = _flipped(f.prox_kernel)
         star_prox = _validated(star_kernel, f.dim, "w")
 
-    swapped_fitz = None
-    if f.fitzpatrick_gap is not None:
-        swapped_fitz = lambda x, x_star: f.fitzpatrick_gap(x_star, x)
-
     return ConvexFunction(
         name=f"conjugate({f.name})",
         dim=f.dim,
@@ -249,7 +260,7 @@ def conjugate_function(f):
         prox=star_prox,
         prox_kernel=star_kernel,
         gradient=None,
-        fitzpatrick_gap=swapped_fitz,
+        fitzpatrick_gap=_swapped(f.fitzpatrick_gap),
         conjugate_prox=f.prox,
         conjugate_prox_kernel=f.prox_kernel,
         subdiff_domain=f.subdiff_range,
@@ -324,8 +335,8 @@ def make_energy(dim):
         fitzpatrick_gap=fitz_gap,
         conjugate_prox=prox,
         conjugate_prox_kernel=prox_kernel,
-        subdiff_domain=_all_space(),
-        subdiff_range=_all_space(),
+        subdiff_domain=_ALL,
+        subdiff_range=_ALL,
     )
 
 
@@ -426,10 +437,12 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
 def make_burg():
     """f(x) = -ln(x) for x > 0, +inf otherwise, on R^1.
 
-    Conjugate f*(y) = -1 - ln(-y) for y < 0, +inf otherwise (at y = 0 the
-    defining sup diverges).  prox_{gamma f}(z) is the positive root of
-    p^2 - z p - gamma = 0; for z < 0 the equivalent form
-    2*gamma/(sqrt(z^2 + 4*gamma) - z) avoids cancellation.
+    prox_{gamma f}(z) is the positive root of p^2 - z p - gamma = 0; for
+    z < 0 the equivalent form 2*gamma/(sqrt(z^2 + 4*gamma) - z) avoids
+    cancellation.  The conjugate f*(y) = f(-y) - 1 = -1 - ln(-y) for y < 0,
+    +inf otherwise (at y = 0 the defining sup diverges), and its prox
+    prox_{sigma f*}(t) = -prox_{sigma f}(-t) are derived from f and its
+    prox; negation is exact, so they round like their direct formulas.
     """
 
     # where= leaves the +inf fill outside the domain and raises no warning there
@@ -440,18 +453,11 @@ def make_burg():
         np.log(s, out=out, where=pos)
         return np.negative(out, out=out, where=pos)[()]
 
-    def conjugate_kernel(x_star):
-        t = x_star[..., 0]
-        neg = t < 0.0
-        out = np.full(t.shape, INF)
-        np.log(-t, out=out, where=neg)
-        return np.subtract(-1.0, out, out=out, where=neg)[()]
-
-    # where s * s would overflow, the roots come from s/2 and half the
-    # discriminant, hypot(s/2, sqrt(gamma)), which stay finite up to the
-    # largest float
+    # where s * s + 4 * gamma could overflow, the root comes from s/2 and
+    # half the discriminant, hypot(s/2, sqrt(gamma)), which stay finite up
+    # to the largest float
     def scalar_prox(gamma, s):
-        if -_SQUARE_SAFE < s < _SQUARE_SAFE:
+        if -_SQUARE_SAFE < s < _SQUARE_SAFE and gamma < _GAMMA_SAFE:
             disc = math.sqrt(s * s + 4.0 * gamma)
             if s >= 0.0:
                 return 0.5 * (s + disc)
@@ -461,34 +467,19 @@ def make_burg():
             return 0.5 * s + half
         return gamma / (half - 0.5 * s)
 
-    def scalar_conjugate_prox(sigma, t):
-        if -_SQUARE_SAFE < t < _SQUARE_SAFE:
-            disc = math.sqrt(t * t + 4.0 * sigma)
-            if t <= 0.0:
-                return 0.5 * (t - disc)
-            return -2.0 * sigma / (t + disc)
-        half = math.hypot(0.5 * t, math.sqrt(sigma))
-        if t <= 0.0:
-            return 0.5 * t - half
-        return -sigma / (0.5 * t + half)
-
     prox_kernel = _elementwise(scalar_prox)
-    conjugate_prox_kernel = _elementwise(scalar_conjugate_prox)
+
+    def conjugate_kernel(x_star):
+        return value_kernel(-x_star) - 1.0
+
+    def conjugate_prox_kernel(sigma, t):
+        return -prox_kernel(sigma, -t)
 
     def gradient(x):
         s = as_vector(x, 1, "x")[0]
         if s <= 0.0:
             raise ValueError(f"gradient of burg is undefined at {s!r}")
         return np.array([-1.0 / s])
-
-    scalar_pos = SetSpec(
-        contains=lambda x: x[0] > 0.0,
-        closure_contains=lambda x: x[0] >= 0.0,
-    )
-    scalar_neg = SetSpec(
-        contains=lambda x: x[0] < 0.0,
-        closure_contains=lambda x: x[0] <= 0.0,
-    )
 
     return ConvexFunction(
         name="burg",
@@ -503,8 +494,8 @@ def make_burg():
         fitzpatrick_gap=None,
         conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
         conjugate_prox_kernel=conjugate_prox_kernel,
-        subdiff_domain=scalar_pos,
-        subdiff_range=scalar_neg,
+        subdiff_domain=_POSITIVE,
+        subdiff_range=_NEGATIVE,
     )
 
 
@@ -549,11 +540,6 @@ def make_shannon():
             raise ValueError(f"gradient of shannon is undefined at {s!r}")
         return np.array([math.log(s)])
 
-    scalar_pos = SetSpec(
-        contains=lambda x: x[0] > 0.0,
-        closure_contains=lambda x: x[0] >= 0.0,
-    )
-
     return ConvexFunction(
         name="shannon",
         dim=1,
@@ -567,8 +553,8 @@ def make_shannon():
         fitzpatrick_gap=None,
         conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
         conjugate_prox_kernel=conjugate_prox_kernel,
-        subdiff_domain=scalar_pos,
-        subdiff_range=_all_space(),
+        subdiff_domain=_POSITIVE,
+        subdiff_range=_ALL,
     )
 
 
@@ -588,7 +574,7 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
     J_{gamma A}(z) = (z1 + gamma z2, -gamma z1 + z2)/(1 + gamma^2); the
     Fitzpatrick function is the indicator of the graph, so the gap is 0
     on the graph and +inf off it.  The inverse is the quarter turn the
-    other way.
+    other way, A^{-1} = -A, so J_{mu A^{-1}} is the resolvent at gamma = -mu.
     """
 
     def resolvent(gamma, z):
@@ -602,40 +588,18 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
     def fitz_gap(x, x_star):
         return np.where(graph_kernel(x, x_star), 0.0, INF)[()]
 
-    def make_inverse():
-        def inv_resolvent(mu, w):
-            w0, w1 = w[..., :1], w[..., 1:]
-            return np.concatenate((w0 - mu * w1, mu * w0 + w1), axis=-1) / (1.0 + mu * mu)
-
-        def inv_graph(y, y_star):
-            return graph_kernel(y_star, y)
-
-        def inv_fitz(u, u_star):
-            return np.where(inv_graph(u, u_star), 0.0, INF)[()]
-
-        return Operator(
-            name="inverse(rotator)",
-            dim=2,
-            resolvent=_validated(inv_resolvent, 2, "w"),
-            resolvent_kernel=inv_resolvent,
-            graph_kernel=inv_graph,
-            dom=_all_space(),
-            ran=_all_space(),
-            fitzpatrick_gap=inv_fitz,
-            inverse_factory=make_rotator,
-        )
-
-    return Operator(
+    rotator = Operator(
         name="rotator",
         dim=2,
         resolvent=_validated(resolvent, 2, "z"),
         resolvent_kernel=resolvent,
         graph_kernel=graph_kernel,
-        dom=_all_space(),
-        ran=_all_space(),
+        dom=_ALL,
+        ran=_ALL,
         fitzpatrick_gap=fitz_gap,
-        inverse_factory=make_inverse,
+        inverse_factory=lambda: _generic_inverse(rotator, lambda mu, w: resolvent(-mu, w)),
     )
+    return rotator
 
 
 # ---------------------------------------------------------------------------
@@ -717,14 +681,11 @@ def parse_spec(spec):
                 )
         return make_subspace_indicator(vectors)
 
-    if name in ("burg", "shannon", "rotator"):
+    bare = {"burg": make_burg, "shannon": make_shannon, "rotator": make_rotator}
+    if name in bare:
         if pairs:
             raise ValueError(f"unexpected key '{sorted(pairs)[0]}' in spec '{spec}'")
-        if name == "burg":
-            return make_burg()
-        if name == "shannon":
-            return make_shannon()
-        return make_rotator()
+        return bare[name]()
 
     raise ValueError(f"unknown catalog entry '{name}'")
 

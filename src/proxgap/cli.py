@@ -20,7 +20,6 @@ from . import analysis
 from . import bounds
 from . import catalog
 from . import cyclic
-from . import oracle as oracle_mod
 from . import verify as verify_mod
 
 ENV_OUTPUT_DIR = "PROXGAP_OUTPUT_DIR"
@@ -190,12 +189,10 @@ def run_verify(args):
 def run_oracle_compare(args):
     entry = _function_entry(args.spec)
     rng = np.random.default_rng(args.seed)
+    conj, proxes = verify_mod.oracle_comparison(entry, rng, args.count)
 
     worst_conj = 0.0
-    queries = verify_mod.conjugate_queries(entry, rng, args.count)
-    stack = np.reshape(queries, (-1, entry.dim))
-    for x_star, est in zip(queries, oracle_mod.numeric_conjugate(entry, stack)):
-        closed = entry.conjugate(x_star)
+    for x_star, closed, est in conj:
         delta = abs(est.value - closed)
         worst_conj = max(worst_conj, delta / (1.0 + abs(closed)))
         print(
@@ -204,10 +201,7 @@ def run_oracle_compare(args):
         )
 
     worst_prox = 0.0
-    for gamma, z in verify_mod.prox_queries(entry, rng, args.count):
-        closed = entry.prox(gamma, z)
-        est = oracle_mod.numeric_prox(entry, gamma, z)
-        delta = float(np.max(np.abs(est - closed)))
+    for gamma, z, closed, est, delta in proxes:
         worst_prox = max(worst_prox, delta)
         print(
             f"prox gamma={gamma} z={z.tolist()}: closed={closed.tolist()} "
@@ -216,7 +210,7 @@ def run_oracle_compare(args):
 
     print(f"worst conjugate delta (relative) = {worst_conj!r}")
     print(f"worst prox delta = {worst_prox!r}")
-    if worst_conj > 1e-4 or worst_prox > 1e-5:
+    if worst_conj > verify_mod.ORACLE_CONJUGATE_SLACK or worst_prox > verify_mod.ORACLE_PROX_SLACK:
         print("contract violation: oracle disagrees with closed forms", file=sys.stderr)
         return 2
     return 0

@@ -114,11 +114,13 @@ def numeric_conjugate(f, x_star, grid=GridSpec()):
     objective, give such boxes).  A query's box depends only on its own
     incumbent, and a shared box is the same grid with the same f values,
     so each result equals the one-point call on its query.  One box and
-    its values are alive at a time.
+    its values are alive at a time.  An empty stack gives [] and no grid.
     """
+    one = np.ndim(x_star) != 2
+    if not one and len(x_star) == 0:
+        return []
     if f.dim > 2:
         raise ValueError(f"numeric_conjugate supports dim <= 2, got {f.dim}")
-    one = np.ndim(x_star) != 2
     queries = [as_vector(q, f.dim, "x_star") for q in ([x_star] if one else x_star)]
     n = grid.resolve_points(f.dim)
 

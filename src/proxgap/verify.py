@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _carlier, _gap, _minty, bound_report, dual_carlier_check, pair_inequality_check
+from .bounds import _carlier, _gap, _minty, bound_report, chain_links, dual_carlier_check
+from .bounds import pair_inequality_check
 from .catalog import (
     make_burg,
     make_energy,
@@ -38,6 +39,10 @@ from .oracle import numeric_conjugate, numeric_prox
 _MAX_REPORTED = 5
 
 GAMMA_SET = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+# oracle slacks: the conjugate relative to 1 + |f*(x*)|, the prox in the max norm
+ORACLE_CONJUGATE_SLACK = 1e-4
+ORACLE_PROX_SLACK = 1e-5
 
 
 @dataclass
@@ -132,14 +137,9 @@ def run_chain_suite(rng, slack=None):
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
         g = _gap(f, x, x_star)
         c = _carlier(_minty(_checked(f.prox_kernel), gamma, x, x_star))
-        scale = s * (1.0 + np.abs(c))
-        upper = g
-        ok = np.ones(g.shape, dtype=bool)
-        if f.fitzpatrick_gap is not None:
-            fitz = f.fitzpatrick_gap(x, x_star)
-            ok = fitz <= upper + scale
-            upper = np.minimum(upper, fitz)
-        ok &= (c <= upper + scale) & (c >= -scale)
+        fitz = None if f.fitzpatrick_gap is None else f.fitzpatrick_gap(x, x_star)
+        fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
+        ok = fitz_ok & capped & nonnegative
 
         def message(r):
             rep = bound_report(f, gamma[r, 0], x[r], x_star[r])
@@ -276,35 +276,39 @@ def conjugate_queries(f, rng, count):
 
 
 def prox_queries(f, rng, count):
-    out = []
     gammas = (0.1, 1.0, 10.0)
-    for i in range(count):
-        out.append((gammas[i % len(gammas)], rng.uniform(-5.0, 5.0, size=f.dim)))
-    return out
+    return [(gammas[i % len(gammas)], rng.uniform(-5.0, 5.0, size=f.dim)) for i in range(count)]
+
+
+def oracle_comparison(f, rng, count):
+    """``count`` conjugate, then ``count`` prox queries from rng, each with its
+    closed form and oracle estimate: rows (x*, f*(x*), GridMax) and rows
+    (gamma, z, closed prox, oracle prox, max-norm error)."""
+    queries = conjugate_queries(f, rng, count)
+    closed = [f.conjugate(x_star) for x_star in queries]
+    est = numeric_conjugate(f, np.reshape(queries, (-1, f.dim)))
+    proxes = []
+    for gamma, z in prox_queries(f, rng, count):
+        closed_p = f.prox(gamma, z)
+        est_p = numeric_prox(f, gamma, z)
+        proxes.append((gamma, z, closed_p, est_p, float(np.max(np.abs(est_p - closed_p)))))
+    return list(zip(queries, closed, est)), proxes
 
 
 def run_oracle_suite(rng, slack=None, count=5):
     result = SuiteResult("oracle-agreement")
-    s_conj = _pick(slack, 1e-4)
-    s_prox = _pick(slack, 1e-5)
+    s_conj = _pick(slack, ORACLE_CONJUGATE_SLACK)
+    s_prox = _pick(slack, ORACLE_PROX_SLACK)
     for f in function_entries():
-        queries = conjugate_queries(f, rng, count)
-        closed = [f.conjugate(x_star) for x_star in queries]
-        est = numeric_conjugate(f, np.reshape(queries, (-1, f.dim)))
+        conj, proxes = oracle_comparison(f, rng, count)
         result.record(
-            [
-                not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c))
-                for e, c in zip(est, closed)
-            ],
+            [not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c)) for _, c, e in conj],
             lambda i: (
-                f"{f.name} conjugate at {queries[i].tolist()}: closed={closed[i]!r} "
-                f"oracle={est[i].value!r} boundary={est[i].on_boundary}"
+                f"{f.name} conjugate at {conj[i][0].tolist()}: closed={conj[i][1]!r} "
+                f"oracle={conj[i][2].value!r} boundary={conj[i][2].on_boundary}"
             ),
         )
-        for gamma, z in prox_queries(f, rng, count):
-            closed_p = f.prox(gamma, z)
-            est_p = numeric_prox(f, gamma, z)
-            err = float(np.max(np.abs(est_p - closed_p)))
+        for gamma, z, closed_p, est_p, err in proxes:
             result.record(
                 [err <= s_prox],
                 lambda i: (

@@ -6,9 +6,11 @@ import pytest
 from proxgap import bounds, catalog
 from proxgap.bounds import (
     BOUND_CSV_HEADER,
+    BoundReport,
     bound_report,
     bregman_distance,
     carlier_bound,
+    chain_links,
     chain_violation,
     dual_carlier_check,
     fitzpatrick_bound,
@@ -320,6 +322,45 @@ def test_chain_violation_detects_tampering(energy2):
     assert chain_violation(bad) is not None
     negative = dataclasses.replace(rep, carlier=-1.0)
     assert "negative" in chain_violation(negative)
+
+
+def test_chain_violation_caps_carlier_by_the_smaller_of_gap_and_fitzpatrick():
+    # gap < fitz <= gap + slack, so the fitz link holds, yet carlier lies
+    # above gap + slack: capping carlier by fitz alone would miss this
+    slack = 1e-9 * (1.0 + 1.0000000025)
+    rep = BoundReport(
+        x=np.zeros(1),
+        x_star=np.zeros(1),
+        gamma=1.0,
+        gap=1.0,
+        fitzpatrick=1.0 + 1.5e-9,
+        carlier=1.0000000025,
+        gap_zero=False,
+        gap_equals_carlier=False,
+    )
+    assert rep.gap < rep.fitzpatrick <= rep.gap + slack
+    assert rep.gap + slack < rep.carlier < rep.fitzpatrick + slack
+    assert chain_violation(rep) == "carlier 1.0000000025 exceeds 1.0"
+    # the row-wise rule behind the verify chain suite flags the same row
+    fitz_ok, capped, nonnegative = chain_links(
+        np.array([1.0, 1.0]), np.array([1.0 + 1.5e-9, 1.0]), np.array([1.0000000025, 0.5]), 1e-9
+    )
+    assert fitz_ok.tolist() == [True, True]
+    assert capped.tolist() == [False, True]
+    assert nonnegative.tolist() == [True, True]
+
+
+@pytest.mark.parametrize(
+    "gap, fitz, flagged",
+    [(1.0, 0.5, True), (INF, 1.0, True), (1.0, None, True), (INF, INF, False), (INF, None, False)],
+)
+def test_chain_violation_infinite_carlier_needs_infinite_bounds(energy2, gap, fitz, flagged):
+    import dataclasses
+
+    rep = dataclasses.replace(bound_report(energy2, 1.0, X1, XSTAR1), gap=gap, fitzpatrick=fitz)
+    assert (chain_violation(dataclasses.replace(rep, carlier=INF)) is not None) == flagged
+    nan = dataclasses.replace(rep, carlier=math.nan)
+    assert chain_violation(nan) == "carlier nan is not a number"
 
 
 # ------------------------------------------------------------------- csv

@@ -16,6 +16,88 @@ from proxgap.catalog import (
 
 ALL_FUNCTIONS = ["energy2", "subspace_e1", "burg", "shannon"]
 
+# float.hex of the hand-written forms that the derived kernels replaced,
+# recorded before the change, at edge inputs below the large-gamma switch
+BURG_CONJUGATE_PINS = [
+    ("-0x0.0p+0", "inf"),
+    ("0x0.0p+0", "inf"),
+    ("-0x0.0000000000001p-1022", "0x1.73b85446d71c3p+9"),
+    ("-0x1.0000000000000p-1022", "0x1.61b2bdd7abcd2p+9"),
+    ("-0x1.56e1fc2f8f359p-997", "0x1.58e3447f87fb5p+9"),
+    ("-0x1.b7cdfd9d7bdbbp-34", "0x1.6069e2aa2aa5bp+4"),
+    ("-0x1.0000000000000p-1", "-0x1.3a37a020b8c22p-2"),
+    ("-0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+    ("-0x1.5bf0a8b145769p+1", "-0x1.0000000000000p+1"),
+    ("-0x1.8000000000000p+1", "-0x1.0c9f53d568186p+1"),
+    ("-0x1.2a05f20000000p+33", "-0x1.8069e2aa2aa5bp+4"),
+    ("-0x1.7dddf6b095ff1p+511", "-0x1.63991d5d62a5ep+8"),
+    ("-0x1.7e43c8800759cp+996", "-0x1.59e3447f87fb5p+9"),
+    ("-0x1.fffffffffffffp+1023", "-0x1.63642fefa39efp+9"),
+    ("0x0.0000000000001p-1022", "inf"),
+    ("0x1.0000000000000p+0", "inf"),
+    ("0x1.fffffffffffffp+1023", "inf"),
+]
+BURG_CONJUGATE_PROX_PINS = [
+    ("0x1.56e1fc2f8f359p-997", "0x0.0p+0", "-0x1.a2fe76a3f9475p-499"),
+    ("0x1.56e1fc2f8f359p-997", "-0x0.0p+0", "-0x1.a2fe76a3f9475p-499"),
+    ("0x1.56e1fc2f8f359p-997", "0x0.0000000000001p-1022", "-0x1.a2fe76a3f9475p-499"),
+    ("0x1.56e1fc2f8f359p-997", "-0x0.0000000000001p-1022", "-0x1.a2fe76a3f9475p-499"),
+    ("0x1.0000000000000p+0", "0x0.0p+0", "-0x1.0000000000000p+0"),
+    ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.3c6ef372fe94fp-1"),
+    ("0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.9e3779b97f4a8p+0"),
+    ("0x1.0000000000000p-1", "0x1.8000000000000p+1", "-0x1.443949feb79a1p-3"),
+    ("0x1.0000000000000p-1", "-0x1.8000000000000p+1", "-0x1.9443949feb79ap+1"),
+    ("0x1.5798ee2308c3ap-27", "0x1.a36e2eb1c432dp-14", "-0x1.0338e4ecbe880p-14"),
+    ("0x1.5798ee2308c3ap-27", "-0x1.a36e2eb1c432dp-14", "-0x1.535389cf415d6p-13"),
+    ("0x1.7d78400000000p+26", "0x1.4000000000000p+1", "-0x1.38760028f5c29p+13"),
+    ("0x1.7d78400000000p+26", "-0x1.4000000000000p+1", "-0x1.388a0028f5c29p+13"),
+    ("0x1.0000000000000p+0", "0x1.d1a94a2000000p+39", "-0x1.19799812dea11p-40"),
+    ("0x1.0000000000000p+0", "-0x1.d1a94a2000000p+39", "-0x1.d1a94a2000000p+39"),
+    ("0x1.7e43c8800759cp+996", "0x1.0000000000000p+0", "-0x1.38d352e5096afp+498"),
+    ("0x1.7e43c8800759cp+996", "-0x1.317e5ef3ab327p+508", "-0x1.317e72f8ff0ffp+508"),
+    ("0x1.56e1fc2f8f359p-997", "0x1.7e43c8800759cp+996", "-0x0.0p+0"),
+    ("0x1.56e1fc2f8f359p-997", "-0x1.7e43c8800759cp+996", "-0x1.7e43c8800759cp+996"),
+    ("0x1.0000000000000p+0", "0x1.fffffffffffffp+1023", "-0x0.4000000000000p-1022"),
+    ("0x1.0000000000000p+0", "-0x1.fffffffffffffp+1023", "-0x1.fffffffffffffp+1023"),
+    ("0x1.6c8e5ca239029p+1016", "0x1.c000000000000p+2", "-0x1.317e5ef3ab327p+508"),
+]
+ROTATOR_INVERSE_RESOLVENT_PINS = [
+    ("0x1.56e1fc2f8f359p-997", ("0x1.0000000000000p+0", "-0x1.0000000000000p+1"),
+     ("0x1.0000000000000p+0", "-0x1.0000000000000p+1")),
+    ("0x1.56e1fc2f8f359p-997", ("0x0.0p+0", "-0x0.0p+0"),
+     ("0x0.0p+0", "0x0.0p+0")),
+    ("0x1.0000000000000p+0", ("0x1.0000000000000p+1", "0x0.0p+0"),
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0")),
+    ("0x1.0000000000000p+0", ("-0x0.0p+0", "0x0.0p+0"),
+     ("-0x0.0p+0", "0x0.0p+0")),
+    ("0x1.6666666666666p-1", ("0x1.3333333333333p-2", "-0x1.3333333333333p+0"),
+     ("0x1.87bb4671655e7p-1", "-0x1.54301b7d6c3dep-1")),
+    ("0x1.999999999999ap-4", ("0x0.0000000000001p-1022", "-0x0.0000000000001p-1022"),
+     ("0x0.0000000000001p-1022", "-0x0.0000000000001p-1022")),
+    ("0x1.8000000000000p+1", ("0x1.7e43c8800759cp+996", "0x1.7e43c8800759cp+996"),
+     ("-0x1.31cfd3999f7b0p+994", "0x1.31cfd3999f7b0p+995")),
+    ("0x1.5798ee2308c3ap-27", ("0x1.56e1fc2f8f359p-997", "0x1.4000000000000p+2"),
+     ("-0x1.ad7f29abcaf48p-25", "0x1.4000000000000p+2")),
+    ("0x1.7d78400000000p+26", ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+     ("-0x1.5798ede9635e7p-27", "0x1.5798ee5cae28dp-27")),
+    ("0x1.38d352e5096afp+498", ("0x1.0000000000000p+0", "-0x1.0000000000000p+0"),
+     ("0x1.a2fe76a3f9476p-499", "0x1.a2fe76a3f9476p-499")),
+    ("0x1.7dddf6b095ff1p+511", ("0x1.8000000000000p+1", "0x1.0000000000000p+2"),
+     ("-0x1.573d68f903ea2p-510", "0x1.016e0ebac2efap-510")),
+    ("0x1.7e43c8800759cp+996", ("-0x1.0000000000000p+0", "0x1.0000000000000p+1"),
+     ("-0x0.0p+0", "-0x0.0p+0")),
+    ("0x1.0000000000000p-1", ("-0x1.c000000000000p+2", "0x0.012688b70e62bp-1022"),
+     ("-0x1.6666666666666p+2", "-0x1.6666666666666p+1")),
+    ("0x1.a2fe76a3f9475p-499", ("0x1.38d352e5096afp+498", "-0x1.38d352e5096afp+498"),
+     ("0x1.38d352e5096afp+498", "-0x1.38d352e5096afp+498")),
+    ("0x1.9000000000000p+6", ("-0x1.4f8b588e368f1p-17", "0x1.86a0000000000p+16"),
+     ("-0x1.f3f3338716096p+9", "0x1.3ff7ced916872p+3")),
+    ("0x1.47ae147ae147bp-7", ("0x1.8000000000000p+2", "-0x1.0000000000000p+3"),
+     ("0x1.8514c2702b00fp+2", "-0x1.fc1bf3d0cc5ecp+2")),
+    ("0x1.56e1fc2f8f359p-997", ("-0x1.fffffffffffffp+1023", "0x1.0000000000000p+1"),
+     ("-0x1.fffffffffffffp+1023", "-0x1.56e1fbef8f358p+27")),
+]
+
 
 def all_operators(request):
     ops = [subdifferential_operator(request.getfixturevalue(n)) for n in ALL_FUNCTIONS]
@@ -123,6 +205,22 @@ def test_burg_proxes_finite_where_z_squared_overflows(burg, z, gamma):
     assert near == z
     if abs(gamma / z) >= np.finfo(float).tiny:
         assert far == pytest.approx(-gamma / z, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_burg_proxes_finite_where_four_gamma_overflows(burg):
+    # 4 * gamma overflows from about 4.5e307; the roots are about
+    # +-sqrt(gamma) = +-1e154
+    assert burg.prox(1e308, [1.0])[0] == pytest.approx(1e154, rel=1e-15)
+    assert burg.conjugate_prox(1e308, [-1.0])[0] == pytest.approx(-1e154, rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [-1e150, -1.0, 0.0, 1.0, 1e150])
+def test_burg_proxes_continuous_where_the_large_gamma_form_starts(burg, z):
+    # the scaled form takes over at gamma = 1e307
+    below = np.nextafter(1e307, 0.0)
+    for prox in (burg.prox, burg.conjugate_prox):
+        assert prox(below, [z])[0] == pytest.approx(prox(1e307, [z])[0], rel=1e-15)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -351,3 +449,18 @@ def test_inverse_is_built_once(request):
         inv = op.inverse()
         assert op.inverse() is inv
         assert inv.inverse() is inv.inverse()
+
+
+def test_derived_kernels_keep_the_bits_of_the_hand_written_forms(burg, rotator):
+    # Burg's conjugate and conjugate prox come from f(-y) - 1 and
+    # -prox(sigma, -t), the rotator's inverse resolvent from its resolvent
+    # at gamma = -mu; negation is exact, so not one bit may move
+    h = float.fromhex
+    for y, want in BURG_CONJUGATE_PINS:
+        assert burg.conjugate([h(y)]).hex() == want
+    for sigma, t, want in BURG_CONJUGATE_PROX_PINS:
+        assert float(burg.conjugate_prox(h(sigma), [h(t)])[0]).hex() == want
+    inverse = rotator.inverse()
+    for mu, w, want in ROTATOR_INVERSE_RESOLVENT_PINS:
+        got = inverse.resolvent(h(mu), [h(c) for c in w])
+        assert tuple(float(c).hex() for c in got) == want

@@ -319,6 +319,13 @@ def test_oracle_compare_stacked_conjugates_equal_one_query_calls(capsys):
         )
 
 
+def test_oracle_compare_count_zero_exits_0(capsys):
+    # no queries: nothing reaches the oracles, whose grid needs dim <= 2
+    code, out, err = run_cli(capsys, "oracle-compare", "--spec", "energy:dim=3", "--count", "0")
+    assert code == 0, err
+    assert out.splitlines() == ["worst conjugate delta (relative) = 0.0", "worst prox delta = 0.0"]
+
+
 # ------------------------------------------------------------------- pgm
 
 

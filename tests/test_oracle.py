@@ -67,6 +67,19 @@ def test_conjugate_rejects_high_dimension():
         numeric_conjugate(make_energy(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_conjugate_empty_stack_builds_no_grid(dim):
+    import dataclasses
+
+    from proxgap.catalog import make_energy
+
+    f = make_energy(dim)
+    calls = []
+    counted = dataclasses.replace(f, value_kernel=lambda x: calls.append(x) or f.value_kernel(x))
+    assert numeric_conjugate(counted, np.zeros((0, dim))) == []
+    assert calls == []
+
+
 # -------------------------------------------------------------- proxes
 
 

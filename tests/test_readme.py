@@ -28,8 +28,14 @@ def _examples():
 EXAMPLES = _examples()
 
 
-def test_readme_has_the_four_examples():
-    assert [shlex.split(command)[1] for command, _ in EXAMPLES] == ["eval", "sweep", "series", "verify"]
+def test_readme_has_the_five_examples():
+    assert [shlex.split(command)[1] for command, _ in EXAMPLES] == [
+        "eval",
+        "sweep",
+        "series",
+        "verify",
+        "oracle-compare",
+    ]
 
 
 @pytest.mark.parametrize("command, output", EXAMPLES, ids=[shlex.split(c)[1] for c, _ in EXAMPLES])

@@ -8,11 +8,14 @@ and A = df:
 with G_f(x, x*) = f(x) + f*(x*) - <x, x*> and
 C_{A,gamma}(x, x*) = ||x - J_{gamma A}(x + gamma x*)||^2 / gamma.
 
+The gap is each entry's closed form ``f.gap_kernel``, which does not
+cancel near the graph as the sum f(x) + f*(x*) - <x, x*> does.
+
 Each public function validates its inputs once and hands the validated
-arrays to the private helpers below, which trust them.  ``_gap``,
-``_minty`` and ``_carlier`` are row-wise: they take one point of shape
-``(dim,)`` with a float gamma, or stacks of shape ``(m, dim)`` with an
-``(m, 1)`` gamma column, and give a float or an ``(m,)`` array.
+arrays to the private helpers below, which trust them.  ``_minty`` and
+``_carlier`` are row-wise: one point of shape ``(dim,)`` with a float
+gamma, or stacks of shape ``(m, dim)`` with an ``(m, 1)`` gamma column.
+``_minty`` gives z = x + gamma x*, checked finite once, and a = J(z).
 """
 
 from __future__ import annotations
@@ -27,22 +30,12 @@ from .core import DEFAULT_TOLERANCES, INF, as_vector, inner, within_membership
 
 
 def gap(f, x, x_star):
-    """Fenchel-Young gap G_f(x, x*) = f(x) + f*(x*) - <x, x*>.
+    """Fenchel-Young gap G_f(x, x*) = f(x) + f*(x*) - <x, x*>, from ``f.gap_kernel``.
 
     Nonnegative for proper lsc convex f; zero exactly on the graph of df.
     May be +inf when either argument leaves the corresponding domain.
     """
-    return _gap(f, as_vector(x, f.dim, "x"), as_vector(x_star, f.dim, "x_star"))
-
-
-def _gap(f, x, x_star):
-    # where f(x) or f*(x*) is +inf the gap is +inf, without inf - inf
-    total = f.value_kernel(x) + f.conjugate_kernel(x_star)
-    if np.ndim(total) == 0:
-        return INF if total == INF else float(total - np.vecdot(x, x_star))
-    out = np.full(total.shape, INF)
-    np.subtract(total, np.vecdot(x, x_star), out=out, where=total != INF)
-    return out
+    return float(f.gap_kernel(as_vector(x, f.dim, "x"), as_vector(x_star, f.dim, "x_star")))
 
 
 def _check_gamma(gamma):
@@ -63,7 +56,7 @@ def carlier_bound(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    return float(_carlier(_minty(A.resolvent, gamma, x, x_star)))
+    return float(_carlier(x, _minty(A.resolvent_kernel, gamma, x, x_star)[1], gamma))
 
 
 @dataclass(frozen=True)
@@ -86,20 +79,21 @@ def minty_decompose(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    return _minty(A.resolvent, gamma, x, x_star)
-
-
-def _minty(resolvent, gamma, x, x_star):
-    z = x + gamma * x_star
-    a = resolvent(gamma, z)
+    z, a = _minty(A.resolvent_kernel, gamma, x, x_star)
     return MintyPair(x=x, x_star=x_star, gamma=gamma, a=a, a_star=(z - a) / gamma)
 
 
-def _carlier(pair):
-    d = pair.x - pair.a
-    gamma = pair.gamma
+def _minty(kernel, gamma, x, x_star):
+    z = x + gamma * x_star
+    if not np.isfinite(z).all():
+        raise ValueError(f"z has non-finite entries: {z!r}")
+    return z, kernel(gamma, z)
+
+
+def _carlier(x, a, gamma):
+    d = x - a
     # the (m, 1) gamma column of a stack divides its (m,) squared norms
-    return np.vecdot(d, d) / (gamma[:, 0] if np.ndim(gamma) else gamma)
+    return np.vecdot(d, d) / (gamma[:, 0] if isinstance(gamma, np.ndarray) else gamma)
 
 
 def dual_carlier_check(A, gamma, x, x_star):
@@ -112,9 +106,10 @@ def dual_carlier_check(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    lhs = _carlier(_minty(A.resolvent, gamma, x, x_star))
-    rhs = _carlier(_minty(A.inverse().resolvent, _check_gamma(1.0 / gamma), x_star, x))
-    return float(lhs), float(rhs)
+    _, a = _minty(A.resolvent_kernel, gamma, x, x_star)
+    mu = _check_gamma(1.0 / gamma)
+    _, b = _minty(A.inverse().resolvent_kernel, mu, x_star, x)
+    return float(_carlier(x, a, gamma)), float(_carlier(x_star, b, mu))
 
 
 def fitzpatrick_bound(entry, x, x_star):
@@ -144,7 +139,7 @@ def pair_inequality_check(f, x, x_star, y, y_star):
     x_star = as_vector(x_star, f.dim, "x_star")
     y = as_vector(y, f.dim, "y")
     y_star = as_vector(y_star, f.dim, "y_star")
-    lhs = _gap(f, x, x_star) + _gap(f, y, y_star)
+    lhs = float(f.gap_kernel(x, x_star) + f.gap_kernel(y, y_star))
     rhs = inner(y - x, x_star - y_star)
     return lhs, rhs
 
@@ -204,26 +199,22 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
     x = as_vector(x, f.dim, "x")
     x_star = as_vector(x_star, f.dim, "x_star")
 
-    g = _gap(f, x, x_star)
-    fitz = _fitzpatrick(f, x, x_star)
-    pair = _minty(f.prox, gamma, x, x_star)
-
-    gap_zero = bool(within_membership(g, tol, x, x_star))
-
-    a, u = pair.a, pair.a_star
-    sharp = within_membership(_gap(f, a, x_star), tol, a, x_star) and within_membership(
-        _gap(f, x, u), tol, x, u
-    )
+    z, a = _minty(f.prox_kernel, gamma, x, x_star)
+    # the gaps at (x, x*) and, for the sharpness test, at (a, x*) and (x, a*)
+    points = np.array((x, a, x))
+    duals = np.array((x_star, x_star, (z - a) / gamma))
+    gaps = f.gap_kernel(points, duals)
+    member = within_membership(gaps, tol, points, duals)
 
     return BoundReport(
         x=x,
         x_star=x_star,
         gamma=gamma,
-        gap=g,
-        fitzpatrick=fitz,
-        carlier=float(_carlier(pair)),
-        gap_zero=gap_zero,
-        gap_equals_carlier=bool(sharp),
+        gap=float(gaps[0]),
+        fitzpatrick=_fitzpatrick(f, x, x_star),
+        carlier=float(_carlier(x, a, gamma)),
+        gap_zero=bool(member[0]),
+        gap_equals_carlier=bool(member[1] and member[2]),
     )
 
 

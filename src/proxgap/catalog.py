@@ -16,7 +16,10 @@ one point of shape ``(dim,)`` or a stack of points of shape
 ``(m, dim)``, and row i of the result depends only on row i of the
 inputs.  Value and conjugate kernels ``kernel(x)`` return a float64
 scalar for one point and an ``(m,)`` array for a stack, with +inf
-outside the domain.  Prox, conjugate prox and resolvent kernels
+outside the domain.  ``gap_kernel(x, x_star)`` is the Fenchel-Young gap
+in a closed form that does not cancel near the graph, row-wise like a value
+kernel, never negative, +inf exactly where f(x) or f*(x*) is.  Prox,
+conjugate prox and resolvent kernels
 ``kernel(gamma, z)`` take a float ``gamma > 0`` for one point and a
 float or an ``(m, 1)`` column of positive floats for a stack; the result
 has the shape of ``z``.  Kernels validate nothing and do not check that
@@ -54,6 +57,11 @@ from .lambertw import lambert_w_exp
 
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
 _EXP_CEIL = 690.0
+
+# ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for every float exponent k
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_TURN = np.array([1.0, -1.0])  # the reversed point (z2, z1) times _TURN is (z2, -z1)
 
 # s * s + 4 * gamma stays finite for |s| below _SQUARE_SAFE (the square root of
 # the largest float is 1.34e154) and gamma below _GAMMA_SAFE (4 * gamma
@@ -142,6 +150,8 @@ class ConvexFunction:
     +inf allowed); ``value_kernel`` and ``conjugate_kernel`` are their
     trusted array kernels (module docstring), which the bounds, the graph
     test and the brute-force oracles call on validated points and grids.
+    ``gap_kernel`` is the package's only Fenchel-Young gap, in the entry's
+    closed form that does not cancel near the graph (module docstring).
     ``prox`` maps (gamma, z) to prox_{gamma f}(z) and ``prox_kernel`` is
     its kernel.  ``fitzpatrick_gap`` is F_{df}(x, x*) - <x, x*> when a
     closed form is known; it is row-wise and trusting like a value kernel
@@ -158,6 +168,7 @@ class ConvexFunction:
     conjugate: Callable[[np.ndarray], float]
     value_kernel: Callable[[np.ndarray], np.ndarray]
     conjugate_kernel: Callable[[np.ndarray], np.ndarray]
+    gap_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     prox: Callable[[float, np.ndarray], np.ndarray]
     prox_kernel: Callable[[float, np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -240,8 +251,8 @@ def conjugate_function(f):
     """The Fenchel conjugate of a catalog function, as a catalog function.
 
     Roles of value/conjugate, prox/conjugate_prox (each with its kernel),
-    and the subdifferential domain/range swap.  When f carries no
-    closed-form conjugate prox, the Moreau decomposition
+    the gap kernel's arguments and the subdifferential domain/range swap.
+    When f carries no closed-form conjugate prox, the Moreau decomposition
     prox_{sigma f*}(w) = w - sigma*prox_{f/sigma}(w/sigma) fills in.
     """
     if f.conjugate_prox is not None:
@@ -257,6 +268,7 @@ def conjugate_function(f):
         conjugate=f.value,
         value_kernel=f.conjugate_kernel,
         conjugate_kernel=f.value_kernel,
+        gap_kernel=_swapped(f.gap_kernel),
         prox=star_prox,
         prox_kernel=star_kernel,
         gradient=None,
@@ -272,16 +284,15 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
     """The operator df for a catalog function f.
 
     The resolvent is the prox, graph membership is the Fenchel-Young
-    equality test G_f(x, x*) <= abs_tol*(1 + ||x|| + ||x*||) (row-wise,
-    see :func:`~proxgap.core.within_membership`), and the inverse is df*
-    built from the conjugate.
+    equality test G_f(x, x*) <= abs_tol*(1 + ||x|| + ||x*||) on the gap
+    kernel (row-wise, see :func:`~proxgap.core.within_membership`), and the
+    inverse is df* built from the conjugate.
     """
     if f.subdiff_domain is None or f.subdiff_range is None:
         raise ValueError(f"catalog entry '{f.name}' lacks subdifferential domain/range data")
 
     def graph_kernel(x, x_star):
-        g = f.value_kernel(x) + f.conjugate_kernel(x_star) - np.vecdot(x, x_star)
-        return within_membership(g, tol, x, x_star)
+        return within_membership(f.gap_kernel(x, x_star), tol, x, x_star)
 
     return Operator(
         name=f"subdiff({f.name})",
@@ -303,8 +314,8 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
 def make_energy(dim):
     """f = 0.5*||.||^2 on R^dim.
 
-    Self-conjugate; prox_{gamma f}(z) = z/(1+gamma); Fitzpatrick gap
-    0.25*||x - x*||^2; df = Id with full domain and range.
+    Self-conjugate; gap 0.5*||x - x*||^2; prox_{gamma f}(z) = z/(1+gamma);
+    Fitzpatrick gap 0.25*||x - x*||^2; df = Id with full domain and range.
     """
     if dim < 1:
         raise ValueError(f"energy requires dim >= 1, got {dim}")
@@ -329,6 +340,7 @@ def make_energy(dim):
         conjugate=value,
         value_kernel=value_kernel,
         conjugate_kernel=value_kernel,
+        gap_kernel=lambda x, x_star: value_kernel(x - x_star),
         prox=prox,
         prox_kernel=prox_kernel,
         gradient=lambda x: as_vector(x, dim, "x").copy(),
@@ -372,8 +384,9 @@ def orthonormal_basis(vectors, dim=None):
 def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
     """f = indicator of U = span(basis) in R^dim.
 
-    Conjugate is the indicator of the orthogonal complement; the prox is
-    the orthogonal projector P_U for every gamma.  Membership tests use
+    Conjugate is the indicator of the orthogonal complement, so the gap and
+    the Fitzpatrick gap are 0 on U x U^perp, +inf off it; the prox is the
+    orthogonal projector P_U for every gamma.  Membership tests use
     dist(z, U) <= abs_tol*(1 + ||z||).  df = N_U, the normal cone map,
     with dom N_U = U and ran N_U = U^perp.
     """
@@ -419,6 +432,7 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         conjugate=_evaluated(conjugate_kernel, dim, "x_star"),
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
+        gap_kernel=fitz_gap,
         prox=_validated(prox_kernel, dim, "z"),
         prox_kernel=prox_kernel,
         gradient=None,
@@ -439,7 +453,8 @@ def make_burg():
 
     prox_{gamma f}(z) is the positive root of p^2 - z p - gamma = 0; for
     z < 0 the equivalent form 2*gamma/(sqrt(z^2 + 4*gamma) - z) avoids
-    cancellation.  The conjugate f*(y) = f(-y) - 1 = -1 - ln(-y) for y < 0,
+    cancellation.  The gap is phi(-x x*) with phi(p) = p - 1 - ln p.  The
+    conjugate f*(y) = f(-y) - 1 = -1 - ln(-y) for y < 0,
     +inf otherwise (at y = 0 the defining sup diverges), and its prox
     prox_{sigma f*}(t) = -prox_{sigma f}(-t) are derived from f and its
     prox; negation is exact, so they round like their direct formulas.
@@ -467,7 +482,18 @@ def make_burg():
             return 0.5 * s + half
         return gamma / (half - 0.5 * s)
 
+    # log1p(p - 1) keeps phi exact to rounding near the graph (p = 1); below
+    # p = 0.5, where p can underflow, ln p is ln x + ln(-x*)
+    def scalar_gap(s, t):
+        p = -s * t
+        if not (s > 0.0 and t < 0.0) or p == INF:
+            return INF
+        if p < 0.5:
+            return p - 1.0 - (math.log(s) + math.log(-t))
+        return (p - 1.0) - math.log1p(p - 1.0)
+
     prox_kernel = _elementwise(scalar_prox)
+    pointwise_gap = _elementwise(scalar_gap)
 
     def conjugate_kernel(x_star):
         return value_kernel(-x_star) - 1.0
@@ -488,6 +514,7 @@ def make_burg():
         conjugate=_evaluated(conjugate_kernel, 1, "x_star"),
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
+        gap_kernel=lambda x, x_star: pointwise_gap(x, x_star)[..., 0][()],
         prox=_validated(prox_kernel, 1, "z"),
         prox_kernel=prox_kernel,
         gradient=gradient,
@@ -506,9 +533,10 @@ def make_burg():
 def make_shannon():
     """f(x) = x ln(x) - x for x > 0, f(0) = 0, +inf for x < 0, on R^1.
 
-    Conjugate f*(y) = exp(y).  prox_{gamma f}(z) = gamma*W(exp(z/gamma)/gamma)
-    evaluated in the log domain, so no exp overflow for any gamma down to
-    1e-8.  prox of the conjugate is w - W(sigma*exp(w)).
+    Conjugate f*(y) = exp(y); gap x (e^d - 1 - d), d = x* - ln x (e^x* at
+    x = 0).  prox_{gamma f}(z) = gamma*W(exp(z/gamma)/gamma) in the log
+    domain, so no exp overflow for any gamma down to 1e-8.  prox of the
+    conjugate is w - W(sigma*exp(w)).
     """
 
     # where= leaves the 0 / +inf fill off (0, inf) and raises no warning there
@@ -531,8 +559,25 @@ def make_shannon():
     def scalar_conjugate_prox(sigma, t):
         return t - lambert_w_exp(t + math.log(sigma))
 
+    # ln x = k ln 2 + ln m for x = m 2^k rounds only ln m, so d keeps its low
+    # digits near the graph (d = 0), where five terms of the series of e^d - 1 - d
+    # are exact; from d = 1 on, e^x* - x (1 + d) neither cancels nor overflows
+    def scalar_gap(s, t):
+        if s < 0.0 or t > _EXP_CEIL:
+            return INF
+        if s == 0.0:
+            return math.exp(t)
+        m, k = math.frexp(s)
+        d = (t - k * _LN2_HI) - (k * _LN2_LO + math.log1p(m - 1.0))
+        if d >= 1.0:
+            return math.exp(t) - s * (1.0 + d)
+        if abs(d) < 2.0**-10:
+            return s * d * d * (0.5 + d * (1 / 6 + d * (1 / 24 + d * (1 / 120 + d / 720))))
+        return s * (math.expm1(d) - d)
+
     prox_kernel = _elementwise(scalar_prox)
     conjugate_prox_kernel = _elementwise(scalar_conjugate_prox)
+    pointwise_gap = _elementwise(scalar_gap)
 
     def gradient(x):
         s = as_vector(x, 1, "x")[0]
@@ -547,6 +592,7 @@ def make_shannon():
         conjugate=_evaluated(conjugate_kernel, 1, "x_star"),
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
+        gap_kernel=lambda x, x_star: pointwise_gap(x, x_star)[..., 0][()],
         prox=_validated(prox_kernel, 1, "z"),
         prox_kernel=prox_kernel,
         gradient=gradient,
@@ -575,11 +621,22 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
     Fitzpatrick function is the indicator of the graph, so the gap is 0
     on the graph and +inf off it.  The inverse is the quarter turn the
     other way, A^{-1} = -A, so J_{mu A^{-1}} is the resolvent at gamma = -mu.
+    Where gamma * gamma or gamma * z overflows, rows are divided through by gamma.
     """
 
+    def plain(gamma, z):
+        return (z + z[..., ::-1] * (gamma * _TURN)) / (1.0 + gamma * gamma)
+
     def resolvent(gamma, z):
-        z0, z1 = z[..., :1], z[..., 1:]
-        return np.concatenate((z0 + gamma * z1, -gamma * z0 + z1), axis=-1) / (1.0 + gamma * gamma)
+        # for one point and a float gamma, Python floats (which do not warn) tell
+        # whether gamma * gamma and gamma * z stay finite
+        if isinstance(gamma, float) and z.ndim == 1:
+            if abs(gamma) * max(abs(gamma), *map(abs, z.tolist())) < INF:
+                return plain(gamma, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = plain(gamma, z)
+            lost = ~np.isfinite(out).all(axis=-1, keepdims=True) | ~np.isfinite(gamma * gamma)
+            return np.where(lost, (z / gamma + z[..., ::-1] * _TURN) / (1.0 / gamma + gamma), out)
 
     def graph_kernel(x, x_star):
         turned = np.stack((-x[..., 1], x[..., 0]), axis=-1)

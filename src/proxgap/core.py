@@ -99,8 +99,8 @@ def membership_scale(tol, *vectors):
 def within_membership(err, tol, *vectors):
     """``err <= membership_scale(tol, *vectors)``, row by row.
 
-    False wherever the scale overflowed to +inf: a norm too large to
-    square leaves membership undecided, and undecided is not a member.
+    Where the scale overflowed to +inf only err == 0 is a member: a norm too
+    large to square leaves any other error undecided, and undecided is not.
     """
     scale = membership_scale(tol, *vectors)
-    return (err <= scale) & (scale < INF)
+    return (err <= scale) & ((scale < INF) | (err == 0.0))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _carlier, _gap, _minty, bound_report, chain_links, dual_carlier_check
+from .bounds import _carlier, _minty, bound_report, chain_links, dual_carlier_check
 from .bounds import pair_inequality_check
 from .catalog import (
     make_burg,
@@ -108,15 +108,6 @@ def _finite(name, stack):
     return stack
 
 
-def _checked(kernel):
-    """``kernel`` behind the finiteness check of its stacked input z."""
-
-    def call(gamma, z):
-        return kernel(gamma, _finite("z", z))
-
-    return call
-
-
 def _over_gammas(*points):
     """The ``(m, 1)`` gamma column and each point stack repeated to match:
     every point once per gamma of ``GAMMA_SET``, point-major."""
@@ -135,8 +126,8 @@ def run_chain_suite(rng, slack=None):
         # normal draws are finite, and so are the points made from them
         draws = rng.normal(size=(50, 2, f.dim))
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
-        g = _gap(f, x, x_star)
-        c = _carlier(_minty(_checked(f.prox_kernel), gamma, x, x_star))
+        g = f.gap_kernel(x, x_star)
+        c = _carlier(x, _minty(f.prox_kernel, gamma, x, x_star)[1], gamma)
         fitz = None if f.fitzpatrick_gap is None else f.fitzpatrick_gap(x, x_star)
         fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
         ok = fitz_ok & capped & nonnegative
@@ -158,8 +149,9 @@ def run_duality_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(40, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        lhs = _carlier(_minty(_checked(A.resolvent_kernel), gamma, x, x_star))
-        rhs = _carlier(_minty(_checked(A.inverse().resolvent_kernel), 1.0 / gamma, x_star, x))
+        lhs = _carlier(x, _minty(A.resolvent_kernel, gamma, x, x_star)[1], gamma)
+        mu = 1.0 / gamma
+        rhs = _carlier(x_star, _minty(A.inverse().resolvent_kernel, mu, x_star, x)[1], mu)
         ok = np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs))
 
         def message(r):
@@ -222,7 +214,7 @@ def run_pair_suite(rng, slack=None):
         draws = rng.normal(size=(50, 4, f.dim))
         x, y = _domain_points(f, draws[:, 0]), _domain_points(f, draws[:, 1])
         x_star, y_star = draws[:, 2], draws[:, 3]
-        lhs = _gap(f, x, x_star) + _gap(f, y, y_star)
+        lhs = f.gap_kernel(x, x_star) + f.gap_kernel(y, y_star)
         rhs = np.vecdot(y - x, x_star - y_star)
         ok = (lhs == INF) | (lhs >= rhs - s * (1.0 + np.abs(rhs)))
 
@@ -238,7 +230,7 @@ def run_pair_suite(rng, slack=None):
     op = subdifferential_operator(energy)
     draws = rng.normal(size=(20, 2, 2))
     x, y = draws[:, 0], draws[:, 1]
-    lhs = _gap(energy, x, y) + _gap(energy, y, x)
+    lhs = energy.gap_kernel(x, y) + energy.gap_kernel(y, x)
     rhs = np.vecdot(y - x, y - x)
     equal = np.abs(lhs - rhs) <= s * (1.0 + np.abs(rhs))
     member = op.graph_kernel(x, x) & op.graph_kernel(y, y)

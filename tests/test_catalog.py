@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxgap import catalog
+from proxgap import bounds, catalog
 from proxgap.core import INF, membership_scale, DEFAULT_TOLERANCES
 from proxgap.catalog import (
     CATALOG_NAMES,
@@ -84,8 +84,10 @@ ROTATOR_INVERSE_RESOLVENT_PINS = [
      ("0x1.a2fe76a3f9476p-499", "0x1.a2fe76a3f9476p-499")),
     ("0x1.7dddf6b095ff1p+511", ("0x1.8000000000000p+1", "0x1.0000000000000p+2"),
      ("-0x1.573d68f903ea2p-510", "0x1.016e0ebac2efap-510")),
+    # mu * mu overflows here, so the rows are divided through by mu: the
+    # undivided form gave (-0.0, -0.0) for the true (-2e-300, -1e-300)
     ("0x1.7e43c8800759cp+996", ("-0x1.0000000000000p+0", "0x1.0000000000000p+1"),
-     ("-0x0.0p+0", "-0x0.0p+0")),
+     ("-0x1.56e1fc2f8f359p-996", "-0x1.56e1fc2f8f359p-997")),
     ("0x1.0000000000000p-1", ("-0x1.c000000000000p+2", "0x0.012688b70e62bp-1022"),
      ("-0x1.6666666666666p+2", "-0x1.6666666666666p+1")),
     ("0x1.a2fe76a3f9475p-499", ("0x1.38d352e5096afp+498", "-0x1.38d352e5096afp+498"),
@@ -464,3 +466,20 @@ def test_derived_kernels_keep_the_bits_of_the_hand_written_forms(burg, rotator):
     for mu, w, want in ROTATOR_INVERSE_RESOLVENT_PINS:
         got = inverse.resolvent(h(mu), [h(c) for c in w])
         assert tuple(float(c).hex() for c in got) == want
+
+
+# gamma * gamma or gamma * z overflows here; the rows are divided through by
+# gamma, and rows that do not overflow keep the bits of the plain form
+@pytest.mark.filterwarnings("error")
+def test_rotator_resolvent_finite_where_gamma_overflows(rotator):
+    a = rotator.resolvent(1e200, [1.79e308, 1.0])
+    assert np.isfinite(a).all()
+    assert a[0] == pytest.approx(1.79e-92, rel=1e-15) and a[1] == pytest.approx(-1.79e108, rel=1e-15)
+    c = bounds.carlier_bound(rotator, 1e200, [1e108, 1.0], [1.0, 1.0])
+    assert math.isfinite(c) and c == pytest.approx(1e16, rel=1e-15)
+    gamma = np.array([[1e200], [0.5], [-3.0]])
+    z = np.array([[1.79e308, 1.0], [1.0, 2.0], [4.0, -1.0]])
+    rows = rotator.resolvent_kernel(gamma, z)
+    assert rows[0].tolist() == a.tolist()
+    for i in (1, 2):
+        assert rows[i].tolist() == rotator.resolvent(float(gamma[i, 0]), z[i]).tolist()

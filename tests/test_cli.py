@@ -133,6 +133,49 @@ def test_eval_burg_prox_past_the_square_overflow(capsys):
     assert out.splitlines()[1] == "1e+300,-1.0,1.0,1e+300,,0.0,false,false"
 
 
+def _eval(capsys, spec, x, xstar):
+    code, out, err = run_cli(
+        capsys, "eval", "--spec", spec, "--x", x, "--xstar", xstar, "--gamma", "1"
+    )
+    return code, report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]]))), err
+
+
+# an error of exactly 0 is membership at every scale, also where the norm of
+# x = (1e200, 0) overflows when squared
+@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+def test_eval_exact_member_past_the_norm_overflow(capsys):
+    code, rep, _ = _eval(capsys, "subspace:dim=2:basis=1,0", "1e200,0", "0,1")
+    assert code == 0
+    assert (rep.gap, rep.fitzpatrick, rep.carlier) == (0.0, 0.0, 0.0)
+    assert rep.gap_zero and rep.gap_equals_carlier
+
+
+# the sum f(x) + f*(x*) - <x, x*> cancelled at these three points
+@pytest.mark.filterwarnings("error")
+def test_eval_energy_gap_at_1e8_does_not_cancel(capsys):
+    code, rep, err = _eval(capsys, "energy:dim=2", "1e8,1e8", "100000000.0001,1e8")
+    assert code == 0 and err == ""
+    assert rep.gap == 0.5 * (100000000.0001 - 1e8) ** 2
+    assert rep.gap >= rep.carlier > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_subspace_gap_is_zero_near_the_graph(capsys):
+    code, rep, err = _eval(capsys, "subspace:dim=2:basis=1,0", "1e8,0.01", "0,1")
+    assert rep.gap == 0.0 and rep.fitzpatrick == 0.0 and rep.gap_zero
+    # x lies 0.01 off U, inside the membership tolerance 1e-9 * (1 + 1e8), so
+    # the gap is 0 while Carlier, 1e-4, is exact: the chain check still says so
+    assert rep.carlier == 1e-4
+    assert code == 2 and "carlier 0.0001 exceeds 0.0" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_burg_gap_near_the_graph_is_not_negative(capsys):
+    code, rep, err = _eval(capsys, "burg", "3", "-0.33333333")
+    assert code == 0 and err == ""
+    assert rep.gap >= 0.0 and rep.gap_zero
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [

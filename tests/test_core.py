@@ -98,8 +98,12 @@ def test_row_norm_has_the_bits_of_linalg_norm():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_membership_rejects_an_overflowed_scale():
+    # any error above 0 is undecided under an overflowed scale; exactly 0 is
+    # a member at every scale
     tol = DEFAULT_TOLERANCES
-    assert within_membership(0.0, tol, np.array([1e150, 0.0]))
-    assert not within_membership(0.0, tol, np.array([1e200, 0.0]))
-    rows = within_membership(np.zeros(2), tol, np.array([[1e150, 0.0], [1e200, 0.0]]))
-    assert rows.tolist() == [True, False]
+    assert within_membership(1e-300, tol, np.array([1e150, 0.0]))
+    assert not within_membership(1e-300, tol, np.array([1e200, 0.0]))
+    assert within_membership(0.0, tol, np.array([1e200, 0.0]))
+    err = np.array([1e-300, 1e-300, 0.0])
+    rows = within_membership(err, tol, np.array([[1e150, 0.0], [1e200, 0.0], [1e200, 0.0]]))
+    assert rows.tolist() == [True, False, True]

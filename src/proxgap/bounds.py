@@ -12,10 +12,10 @@ The gap is each entry's closed form ``f.gap_kernel``, which does not
 cancel near the graph as the sum f(x) + f*(x*) - <x, x*> does.
 
 Each public function validates its inputs once and hands the validated
-arrays to the private helpers below, which trust them.  ``_minty`` and
-``_carlier`` are row-wise: one point of shape ``(dim,)`` with a float
-gamma, or stacks of shape ``(m, dim)`` with an ``(m, 1)`` gamma column.
-``_minty`` gives z = x + gamma x*, checked finite once, and a = J(z).
+arrays to the private helpers below, which trust them.  ``_minty`` gives
+z = x + gamma x* and a = J(z) from the public prox or resolvent, whose
+``as_vector`` call is the one check of z.  ``_carlier`` is row-wise: one
+point with a float gamma, or an ``(m, dim)`` stack with an ``(m, 1)`` column.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def carlier_bound(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    return float(_carlier(x, _minty(A.resolvent_kernel, gamma, x, x_star)[1], gamma))
+    return float(_carlier(x, _minty(A.resolvent, gamma, x, x_star)[1], gamma))
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,13 @@ def minty_decompose(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    z, a = _minty(A.resolvent_kernel, gamma, x, x_star)
+    z, a = _minty(A.resolvent, gamma, x, x_star)
     return MintyPair(x=x, x_star=x_star, gamma=gamma, a=a, a_star=(z - a) / gamma)
 
 
-def _minty(kernel, gamma, x, x_star):
+def _minty(resolvent, gamma, x, x_star):
     z = x + gamma * x_star
-    if not np.isfinite(z).all():
-        raise ValueError(f"z has non-finite entries: {z!r}")
-    return z, kernel(gamma, z)
+    return z, resolvent(gamma, z)
 
 
 def _carlier(x, a, gamma):
@@ -106,9 +104,9 @@ def dual_carlier_check(A, gamma, x, x_star):
     gamma = _check_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    _, a = _minty(A.resolvent_kernel, gamma, x, x_star)
+    _, a = _minty(A.resolvent, gamma, x, x_star)
     mu = _check_gamma(1.0 / gamma)
-    _, b = _minty(A.inverse().resolvent_kernel, mu, x_star, x)
+    _, b = _minty(A.inverse().resolvent, mu, x_star, x)
     return float(_carlier(x, a, gamma)), float(_carlier(x_star, b, mu))
 
 
@@ -120,12 +118,7 @@ def fitzpatrick_bound(entry, x, x_star):
     """
     if entry.fitzpatrick_gap is None:
         return None
-    return _fitzpatrick(entry, as_vector(x, entry.dim, "x"), as_vector(x_star, entry.dim, "x_star"))
-
-
-def _fitzpatrick(entry, x, x_star):
-    if entry.fitzpatrick_gap is None:
-        return None
+    x, x_star = as_vector(x, entry.dim, "x"), as_vector(x_star, entry.dim, "x_star")
     return float(entry.fitzpatrick_gap(x, x_star))
 
 
@@ -199,19 +192,23 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
     x = as_vector(x, f.dim, "x")
     x_star = as_vector(x_star, f.dim, "x_star")
 
-    z, a = _minty(f.prox_kernel, gamma, x, x_star)
+    z, a = _minty(f.prox, gamma, x, x_star)
     # the gaps at (x, x*) and, for the sharpness test, at (a, x*) and (x, a*)
     points = np.array((x, a, x))
     duals = np.array((x_star, x_star, (z - a) / gamma))
     gaps = f.gap_kernel(points, duals)
     member = within_membership(gaps, tol, points, duals)
+    fitz = f.fitzpatrick_gap
+    if fitz is not None:
+        # an entry whose gap is its Fitzpatrick gap (subspace) has it in row 0
+        fitz = float(gaps[0] if fitz is f.gap_kernel else fitz(x, x_star))
 
     return BoundReport(
         x=x,
         x_star=x_star,
         gamma=gamma,
         gap=float(gaps[0]),
-        fitzpatrick=_fitzpatrick(f, x, x_star),
+        fitzpatrick=fitz,
         carlier=float(_carlier(x, a, gamma)),
         gap_zero=bool(member[0]),
         gap_equals_carlier=bool(member[1] and member[2]),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _carlier, _minty, bound_report, chain_links, dual_carlier_check
+from .bounds import _carlier, bound_report, chain_links, dual_carlier_check
 from .bounds import pair_inequality_check
 from .catalog import (
     make_burg,
@@ -127,7 +127,7 @@ def run_chain_suite(rng, slack=None):
         draws = rng.normal(size=(50, 2, f.dim))
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
         g = f.gap_kernel(x, x_star)
-        c = _carlier(x, _minty(f.prox_kernel, gamma, x, x_star)[1], gamma)
+        c = _carlier(x, f.prox_kernel(gamma, _finite("z", x + gamma * x_star)), gamma)
         fitz = None if f.fitzpatrick_gap is None else f.fitzpatrick_gap(x, x_star)
         fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
         ok = fitz_ok & capped & nonnegative
@@ -149,9 +149,9 @@ def run_duality_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(40, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        lhs = _carlier(x, _minty(A.resolvent_kernel, gamma, x, x_star)[1], gamma)
+        lhs = _carlier(x, A.resolvent_kernel(gamma, _finite("z", x + gamma * x_star)), gamma)
         mu = 1.0 / gamma
-        rhs = _carlier(x_star, _minty(A.inverse().resolvent_kernel, mu, x_star, x)[1], mu)
+        rhs = _carlier(x_star, A.inverse().resolvent_kernel(mu, _finite("z", x_star + mu * x)), mu)
         ok = np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs))
 
         def message(r):

@@ -159,14 +159,16 @@ def test_eval_energy_gap_at_1e8_does_not_cancel(capsys):
     assert rep.gap >= rep.carlier > 0.0
 
 
+# x lies 0.01 off U, inside the membership tolerance 1e-9 * (1 + 1e8), so the
+# gap and the Fitzpatrick gap are 0 while Carlier, 1e-4, is exact, and eval
+# still exits 2 with "carlier 0.0001 exceeds 0.0": the subspace gap needs a
+# membership test that agrees with the exact Carlier bound (ROADMAP item 1)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="tolerance-based subspace gap")
 @pytest.mark.filterwarnings("error")
 def test_eval_subspace_gap_is_zero_near_the_graph(capsys):
     code, rep, err = _eval(capsys, "subspace:dim=2:basis=1,0", "1e8,0.01", "0,1")
-    assert rep.gap == 0.0 and rep.fitzpatrick == 0.0 and rep.gap_zero
-    # x lies 0.01 off U, inside the membership tolerance 1e-9 * (1 + 1e8), so
-    # the gap is 0 while Carlier, 1e-4, is exact: the chain check still says so
     assert rep.carlier == 1e-4
-    assert code == 2 and "carlier 0.0001 exceeds 0.0" in err
+    assert code == 0 and err == ""
 
 
 @pytest.mark.filterwarnings("error")

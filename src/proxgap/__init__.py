@@ -48,7 +48,7 @@ from .catalog import (
     parse_spec,
     subdifferential_operator,
 )
-from .core import DEFAULT_TOLERANCES, INF, Tolerances, approx_eq, inner
+from .core import INF, MEMBERSHIP_TOL, inner
 from .cyclic import (
     CyclicSequence,
     GammaSchedule,
@@ -68,19 +68,17 @@ __all__ = [
     "ClassifyResult",
     "ConvexFunction",
     "CyclicSequence",
-    "DEFAULT_TOLERANCES",
     "GammaSchedule",
     "GridMax",
     "GridSpec",
     "INF",
     "LimitClass",
+    "MEMBERSHIP_TOL",
     "MintyPair",
     "Operator",
     "PgmTrace",
     "SetSpec",
     "SweepResult",
-    "Tolerances",
-    "approx_eq",
     "bound_report",
     "boundary_limit_regressions",
     "bregman_distance",

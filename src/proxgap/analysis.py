@@ -106,35 +106,6 @@ def gamma_sweep(A, x, x_star, lo=1e-6, hi=1e6, count=49):
     )
 
 
-SWEEP_CSV_HEADER = ("gamma", "value")
-
-
-def sweep_csv_rows(result):
-    return [
-        [repr(float(g)), repr(float(v))]
-        for g, v in zip(result.gammas, result.values)
-    ]
-
-
-def _limit_json(limit):
-    return {"kind": limit.kind, "value": limit.value}
-
-
-def sweep_json(result):
-    return {
-        "operator": result.operator_name,
-        "x": [float(c) for c in result.x],
-        "x_star": [float(c) for c in result.x_star],
-        "gamma_lo": float(result.gammas[0]),
-        "gamma_hi": float(result.gammas[-1]),
-        "count": int(result.gammas.size),
-        "argmax_gamma": result.argmax_gamma,
-        "argmax_value": result.argmax_value,
-        "limit_zero": _limit_json(result.limit_zero),
-        "limit_infinity": _limit_json(result.limit_infinity),
-    }
-
-
 @dataclass(frozen=True)
 class ClassifyResult:
     """Theorem prediction next to the empirical sweep classification.
@@ -331,18 +302,3 @@ def pgm_certificates(f_smooth, f_prox, step, gamma, y0, iters=200):
         bregman_refs=brefs,
         partial_sums=np.cumsum(certs),
     )
-
-
-PGM_CSV_HEADER = ("n", "bregman_ref", "carlier_cert", "partial_sum")
-
-
-def pgm_csv_rows(trace):
-    return [
-        [
-            str(n),
-            repr(float(trace.bregman_refs[n])),
-            repr(float(trace.carlier_certs[n])),
-            repr(float(trace.partial_sums[n])),
-        ]
-        for n in range(len(trace.iterates))
-    ]

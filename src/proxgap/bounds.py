@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, INF, as_vector, inner, within_membership
+from .core import INF, MEMBERSHIP_TOL, as_vector, inner, within_membership
 
 
 def gap(f, x, x_star):
@@ -174,19 +174,7 @@ class BoundReport:
     gap_equals_carlier: bool
 
 
-BOUND_CSV_HEADER = (
-    "x",
-    "x_star",
-    "gamma",
-    "gap",
-    "fitzpatrick",
-    "carlier",
-    "gap_zero",
-    "gap_equals_carlier",
-)
-
-
-def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
+def bound_report(f, gamma, x, x_star):
     """Evaluate gap, Fitzpatrick gap, and Carlier bound at one query."""
     gamma = _check_gamma(gamma)
     x = as_vector(x, f.dim, "x")
@@ -197,7 +185,7 @@ def bound_report(f, gamma, x, x_star, tol=DEFAULT_TOLERANCES):
     points = np.array((x, a, x))
     duals = np.array((x_star, x_star, (z - a) / gamma))
     gaps = f.gap_kernel(points, duals)
-    member = within_membership(gaps, tol, points, duals)
+    member = within_membership(gaps, points, duals)
     fitz = f.fitzpatrick_gap
     if fitz is not None:
         # an entry whose gap is its Fitzpatrick gap (subspace) has it in row 0
@@ -232,12 +220,12 @@ def chain_links(gap, fitz, carlier, slack):
     return fitz <= gap + scale, capped, carlier >= -scale
 
 
-def chain_violation(report, tol=DEFAULT_TOLERANCES):
-    """Describe a violation of :func:`chain_links` at slack abs_tol, or None."""
+def chain_violation(report):
+    """Describe a violation of :func:`chain_links` at slack ``MEMBERSHIP_TOL``, or None."""
     gap, fitz, carlier = report.gap, report.fitzpatrick, report.carlier
     if carlier != carlier:
         return f"carlier {carlier!r} is not a number"
-    fitz_ok, capped, nonnegative = chain_links(gap, fitz, carlier, tol.abs_tol)
+    fitz_ok, capped, nonnegative = chain_links(gap, fitz, carlier, MEMBERSHIP_TOL)
     if not fitz_ok:
         return f"fitzpatrick {fitz!r} exceeds gap {gap!r}"
     if not capped:
@@ -245,42 +233,3 @@ def chain_violation(report, tol=DEFAULT_TOLERANCES):
     if not nonnegative:
         return f"carlier {carlier!r} is negative"
     return None
-
-
-def _fmt_float(v):
-    return repr(float(v))
-
-
-def _fmt_vector(v):
-    return ";".join(_fmt_float(c) for c in v)
-
-
-def report_to_csv_row(report):
-    """Serialize to strings that round-trip to full double precision."""
-    return [
-        _fmt_vector(report.x),
-        _fmt_vector(report.x_star),
-        _fmt_float(report.gamma),
-        _fmt_float(report.gap),
-        "" if report.fitzpatrick is None else _fmt_float(report.fitzpatrick),
-        _fmt_float(report.carlier),
-        "true" if report.gap_zero else "false",
-        "true" if report.gap_equals_carlier else "false",
-    ]
-
-
-def report_from_csv_row(row):
-    if len(row) != len(BOUND_CSV_HEADER):
-        raise ValueError(f"expected {len(BOUND_CSV_HEADER)} fields, got {len(row)}")
-    x = np.array([float(c) for c in row[0].split(";")])
-    x_star = np.array([float(c) for c in row[1].split(";")])
-    return BoundReport(
-        x=x,
-        x_star=x_star,
-        gamma=float(row[2]),
-        gap=float(row[3]),
-        fitzpatrick=None if row[4] == "" else float(row[4]),
-        carlier=float(row[5]),
-        gap_zero=row[6] == "true",
-        gap_equals_carlier=row[7] == "true",
-    )

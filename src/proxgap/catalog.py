@@ -45,13 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    INF,
-    as_vector,
-    row_norm,
-    within_membership,
-)
+from .core import INF, as_vector, row_norm, within_membership
 from .lambertw import lambert_w_exp
 
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
@@ -117,9 +111,14 @@ def _elementwise(scalar_map):
 
 
 def _elementwise_gap(scalar_gap):
-    """The gap kernel of a one-dimensional ``scalar_gap(s, t)`` on Python floats."""
+    """The gap kernel of ``scalar_gap(s, t)`` on Python floats; an overflow is +inf, unwarned."""
     ufunc = _elementwise(scalar_gap)
-    return lambda x, x_star: ufunc(x, x_star)[..., 0][()]
+
+    def kernel(x, x_star):
+        with np.errstate(over="ignore"):
+            return ufunc(x, x_star)[..., 0][()]
+
+    return kernel
 
 
 def _flipped(kernel):
@@ -285,11 +284,11 @@ def conjugate_function(f):
     )
 
 
-def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
+def subdifferential_operator(f):
     """The operator df for a catalog function f.
 
     The resolvent is the prox, graph membership is the Fenchel-Young
-    equality test G_f(x, x*) <= abs_tol*(1 + ||x|| + ||x*||) on the gap
+    equality test G_f(x, x*) <= MEMBERSHIP_TOL*(1 + ||x|| + ||x*||) on the gap
     kernel (row-wise, see :func:`~proxgap.core.within_membership`), and the
     inverse is df* built from the conjugate.
     """
@@ -297,7 +296,7 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
         raise ValueError(f"catalog entry '{f.name}' lacks subdifferential domain/range data")
 
     def graph_kernel(x, x_star):
-        return within_membership(f.gap_kernel(x, x_star), tol, x, x_star)
+        return within_membership(f.gap_kernel(x, x_star), x, x_star)
 
     return Operator(
         name=f"subdiff({f.name})",
@@ -308,7 +307,7 @@ def subdifferential_operator(f, tol=DEFAULT_TOLERANCES):
         dom=f.subdiff_domain,
         ran=f.subdiff_range,
         fitzpatrick_gap=f.fitzpatrick_gap,
-        inverse_factory=lambda: subdifferential_operator(conjugate_function(f), tol),
+        inverse_factory=lambda: subdifferential_operator(conjugate_function(f)),
     )
 
 
@@ -386,13 +385,13 @@ def orthonormal_basis(vectors, dim=None):
     return np.array(basis)
 
 
-def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
+def make_subspace_indicator(basis):
     """f = indicator of U = span(basis) in R^dim.
 
     Conjugate is the indicator of the orthogonal complement, so the gap and
     the Fitzpatrick gap are 0 on U x U^perp, +inf off it; the prox is the
     orthogonal projector P_U for every gamma.  Membership tests use
-    dist(z, U) <= abs_tol*(1 + ||z||).  df = N_U, the normal cone map,
+    dist(z, U) <= MEMBERSHIP_TOL*(1 + ||z||).  df = N_U, the normal cone map,
     with dom N_U = U and ran N_U = U^perp.
     """
     Q = orthonormal_basis(basis)
@@ -403,8 +402,8 @@ def make_subspace_indicator(basis, tol=DEFAULT_TOLERANCES):
         return (z @ Q.T) @ Q
 
     def within_tol(d, z):
-        # ||d|| <= abs_tol*(1 + ||z||) row by row
-        return within_membership(row_norm(d), tol, z)
+        # ||d|| <= MEMBERSHIP_TOL*(1 + ||z||) row by row
+        return within_membership(row_norm(d), z)
 
     def in_U(z):
         return within_tol(z - project(z), z)
@@ -616,7 +615,7 @@ def apply_rotator(x):
     return np.array([-x[1], x[0]])
 
 
-def make_rotator(tol=DEFAULT_TOLERANCES):
+def make_rotator():
     """A(x1, x2) = (-x2, x1), rotation by a quarter turn on R^2.
 
     Maximally monotone but not a subdifferential.  The resolvent is
@@ -643,7 +642,7 @@ def make_rotator(tol=DEFAULT_TOLERANCES):
 
     def graph_kernel(x, x_star):
         turned = np.stack((-x[..., 1], x[..., 0]), axis=-1)
-        return within_membership(row_norm(turned - x_star), tol, x, x_star)
+        return within_membership(row_norm(turned - x_star), x, x_star)
 
     def fitz_gap(x, x_star):
         return np.where(graph_kernel(x, x_star), 0.0, INF)[()]
@@ -750,8 +749,8 @@ def parse_spec(spec):
     raise ValueError(f"unknown catalog entry '{name}'")
 
 
-def as_operator(entry, tol=DEFAULT_TOLERANCES):
+def as_operator(entry):
     """Adapt a parsed entry to an Operator: subdifferential for functions."""
     if isinstance(entry, Operator):
         return entry
-    return subdifferential_operator(entry, tol)
+    return subdifferential_operator(entry)

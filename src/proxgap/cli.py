@@ -8,8 +8,6 @@ verification suite failure, diverging iteration).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,6 +18,7 @@ from . import analysis
 from . import bounds
 from . import catalog
 from . import cyclic
+from . import serialize
 from . import verify as verify_mod
 
 ENV_OUTPUT_DIR = "PROXGAP_OUTPUT_DIR"
@@ -60,29 +59,6 @@ def _resolve_out(out_arg, default_name):
     return None
 
 
-def _write_csv(path, header, rows):
-    if path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {path}")
-
-
-def _write_text(path, text):
-    if path is None:
-        print(text)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
-    print(f"wrote {path}")
-
-
 def run_eval(args):
     entry = _function_entry(args.spec)
     x = _parse_cli_vector(args.x, "--x")
@@ -92,21 +68,12 @@ def run_eval(args):
 
     report = bounds.bound_report(entry, args.gamma, x, x_star)
 
-    out = _resolve_out(args.out, "eval.csv" if args.format == "csv" else "eval.json")
     if args.format == "json":
-        payload = {
-            "x": [float(c) for c in report.x],
-            "x_star": [float(c) for c in report.x_star],
-            "gamma": report.gamma,
-            "gap": report.gap,
-            "fitzpatrick": report.fitzpatrick,
-            "carlier": report.carlier,
-            "gap_zero": report.gap_zero,
-            "gap_equals_carlier": report.gap_equals_carlier,
-        }
-        _write_text(out, json.dumps(payload, indent=2))
+        text = serialize.json_text(serialize.report_json(report))
     else:
-        _write_csv(out, bounds.BOUND_CSV_HEADER, [bounds.report_to_csv_row(report)])
+        row = serialize.report_to_csv_row(report)
+        text = serialize.csv_text(serialize.BOUND_CSV_HEADER, [row])
+    serialize.write(_resolve_out(args.out, f"eval.{args.format}"), text)
 
     violation = bounds.chain_violation(report)
     if violation is not None:
@@ -120,20 +87,21 @@ def run_sweep(args):
     A = catalog.as_operator(entry)
     x = _parse_cli_vector(args.x, "--x")
     x_star = _parse_cli_vector(args.xstar, "--xstar")
+    out = _resolve_out(args.out, "sweep.csv")
+    if out is not None and out.suffix == ".json":
+        raise CliError(
+            f"--out '{out}' is also the name of the sweep's JSON sidecar, "
+            "which would overwrite the CSV; give the CSV another suffix"
+        )
 
     result = analysis.gamma_sweep(
         A, x, x_star, lo=args.gamma_lo, hi=args.gamma_hi, count=args.count
     )
 
-    out = _resolve_out(args.out, "sweep.csv")
-    _write_csv(out, analysis.SWEEP_CSV_HEADER, analysis.sweep_csv_rows(result))
-    payload = json.dumps(analysis.sweep_json(result), indent=2)
-    if out is None:
-        print(payload)
-    else:
-        json_path = out.with_suffix(".json")
-        json_path.write_text(payload + "\n")
-        print(f"wrote {json_path}")
+    text = serialize.csv_text(serialize.SWEEP_CSV_HEADER, serialize.sweep_csv_rows(result))
+    serialize.write(out, text)
+    sidecar = None if out is None else out.with_suffix(".json")
+    serialize.write(sidecar, serialize.json_text(serialize.sweep_json(result)))
 
     print(f"argmax: gamma={result.argmax_gamma!r} value={result.argmax_value!r}")
     print(f"limit gamma->0+: {result.limit_zero.describe()}")
@@ -156,8 +124,8 @@ def run_series(args):
 
     seq = cyclic.generate_cyclic_sequence(A, x, x_star, schedule, args.n_terms)
 
-    out = _resolve_out(args.out, "series.csv")
-    _write_csv(out, cyclic.SERIES_CSV_HEADER, cyclic.series_csv_rows(seq))
+    text = serialize.csv_text(serialize.SERIES_CSV_HEADER, serialize.series_csv_rows(seq))
+    serialize.write(_resolve_out(args.out, "series.csv"), text)
 
     total = float(seq.partial_sums[-1])
     print(f"carlier (term 1) = {float(seq.terms[0])!r}")
@@ -237,8 +205,8 @@ def run_pgm(args):
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
 
-    out = _resolve_out(args.out, "pgm.csv")
-    _write_csv(out, analysis.PGM_CSV_HEADER, analysis.pgm_csv_rows(trace))
+    text = serialize.csv_text(serialize.PGM_CSV_HEADER, serialize.pgm_csv_rows(trace))
+    serialize.write(_resolve_out(args.out, "pgm.csv"), text)
     print(f"x_ref = {trace.x_ref.tolist()}")
     print(f"final carlier certificate = {float(trace.carlier_certs[-1])!r}")
     print(f"final bregman gap = {float(trace.bregman_refs[-1])!r}")

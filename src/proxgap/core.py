@@ -8,49 +8,14 @@ validate that convention at the boundaries where it matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 INF = math.inf
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances threaded through comparisons.
-
-    Attributes
-    ----------
-    abs_tol : float
-        Absolute comparison tolerance.
-    rel_tol : float
-        Relative comparison tolerance.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("abs_tol", "rel_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-def approx_eq(a, b, tol=DEFAULT_TOLERANCES):
-    """Extended-real comparison.
-
-    True iff both operands are +inf, or both are finite with
-    |a - b| <= abs_tol + rel_tol * max(|a|, |b|).
-    """
-    a = float(a)
-    b = float(b)
-    if a == INF or b == INF:
-        return a == b
-    return abs(a - b) <= tol.abs_tol + tol.rel_tol * max(abs(a), abs(b))
+# Absolute tolerance of every set- and graph-membership test, scaled by the
+# norms of the points tested (see membership_scale); also the chain check's slack
+MEMBERSHIP_TOL = 1e-9
 
 
 def as_vector(coords, dim=None, name="vector"):
@@ -83,24 +48,24 @@ def row_norm(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def membership_scale(tol, *vectors):
-    """Absolute tolerance scaled by the participating vector norms.
+def membership_scale(*vectors):
+    """The membership tolerance scaled by the participating vector norms.
 
     Set-membership and graph-membership tests use
-    abs_tol * (1 + sum of norms) so they stay meaningful for large inputs.
+    MEMBERSHIP_TOL * (1 + sum of norms) so they stay meaningful for large inputs.
     Row-wise over stacks, like :func:`row_norm`.
     """
     scale = 1.0
     for v in vectors:
         scale = scale + row_norm(v)
-    return tol.abs_tol * scale
+    return MEMBERSHIP_TOL * scale
 
 
-def within_membership(err, tol, *vectors):
-    """``err <= membership_scale(tol, *vectors)``, row by row.
+def within_membership(err, *vectors):
+    """``err <= membership_scale(*vectors)``, row by row.
 
     Where the scale overflowed to +inf only err == 0 is a member: a norm too
     large to square leaves any other error undecided, and undecided is not.
     """
-    scale = membership_scale(tol, *vectors)
+    scale = membership_scale(*vectors)
     return (err <= scale) & ((scale < INF) | (err == 0.0))

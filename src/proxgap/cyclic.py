@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, as_vector, inner
+from .core import as_vector, inner
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def _polarization_lhs(x, x_star, pts):
     return lhs
 
 
-def fitzpatrick_n_lower(A, x, x_star, points, tol=DEFAULT_TOLERANCES):
+def fitzpatrick_n_lower(A, x, x_star, points):
     """Evaluate the order-(m+1) Fitzpatrick supremand at a graph chain.
 
     Every pair must lie in gr A (checked; ValueError names the offender).
@@ -194,20 +194,3 @@ def fitzpatrick_n_lower(A, x, x_star, points, tol=DEFAULT_TOLERANCES):
             raise ValueError(f"point {i + 1} is not in the graph of {A.name}")
 
     return _polarization_lhs(x, x_star, pts)
-
-
-SERIES_CSV_HEADER = ("k", "gamma_k", "term_k", "partial_sum_k")
-
-
-def series_csv_rows(seq):
-    rows = []
-    for k in range(seq.terms.size):
-        rows.append(
-            [
-                str(k + 1),
-                repr(float(seq.gammas[k])),
-                repr(float(seq.terms[k])),
-                repr(float(seq.partial_sums[k])),
-            ]
-        )
-    return rows

@@ -70,7 +70,8 @@ def lambert_w_exp(u):
     for _ in range(_HALLEY_ITERS):
         g = w + math.log(w) - u
         gp = 1.0 + 1.0 / w
-        gpp = -1.0 / (w * w)
+        # past w = 1e154, w * w would overflow and -1 / (w * w) round to -0.0
+        gpp = -1.0 / (w * w) if w < 1e154 else -0.0
         step = 2.0 * g * gp / (2.0 * gp * gp - g * gpp)
         w -= step
         if abs(step) < _STEP_TOL * (1.0 + abs(w)):

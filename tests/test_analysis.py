@@ -5,15 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from proxgap import analysis
+from proxgap import serialize
 from proxgap.analysis import (
     boundary_limit_regressions,
     classify_limit_infinity,
     classify_limit_zero,
     gamma_sweep,
     pgm_certificates,
-    sweep_csv_rows,
-    sweep_json,
 )
 from proxgap.catalog import (
     apply_rotator,
@@ -22,6 +20,7 @@ from proxgap.catalog import (
     subdifferential_operator,
 )
 from proxgap.lambertw import lambert_w_exp
+from proxgap.serialize import sweep_csv_rows, sweep_json
 
 X = np.array([1.0, 0.0])
 XSTAR = np.array([0.0, 1.0])
@@ -239,7 +238,7 @@ def test_pgm_validates_arguments(energy2, subspace_e1):
 
 def test_pgm_csv_rows(energy2, subspace_e1):
     trace = pgm_certificates(energy2, subspace_e1, 0.5, 1.0, [4.0, 3.0], iters=5)
-    rows = analysis.pgm_csv_rows(trace)
-    assert analysis.PGM_CSV_HEADER == ("n", "bregman_ref", "carlier_cert", "partial_sum")
+    rows = serialize.pgm_csv_rows(trace)
+    assert serialize.PGM_CSV_HEADER == ("n", "bregman_ref", "carlier_cert", "partial_sum")
     assert len(rows) == 6  # includes the starting point
     assert float(rows[-1][3]) == pytest.approx(float(trace.partial_sums[-1]))

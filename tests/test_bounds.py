@@ -5,7 +5,6 @@ import pytest
 
 from proxgap import bounds, catalog
 from proxgap.bounds import (
-    BOUND_CSV_HEADER,
     BoundReport,
     bound_report,
     bregman_distance,
@@ -17,11 +16,10 @@ from proxgap.bounds import (
     gap,
     minty_decompose,
     pair_inequality_check,
-    report_from_csv_row,
-    report_to_csv_row,
 )
 from proxgap.catalog import subdifferential_operator
 from proxgap.core import INF
+from proxgap.serialize import BOUND_CSV_HEADER, report_from_csv_row, report_to_csv_row
 
 X1 = np.array([1.0, 0.0])
 XSTAR1 = np.array([0.0, 1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxgap import bounds, catalog
-from proxgap.core import INF, membership_scale, DEFAULT_TOLERANCES
+from proxgap.core import INF
 from proxgap.catalog import (
     CATALOG_NAMES,
     apply_rotator,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from proxgap import catalog, oracle, verify
-from proxgap.bounds import report_from_csv_row
+from proxgap.serialize import report_from_csv_row
 from proxgap.cli import main
 
 
@@ -102,7 +102,7 @@ def test_eval_flag_overrides_env(capsys, tmp_path, monkeypatch):
 
 # norms past about 1.3e154 overflow when squared; membership must then
 # say no instead of comparing against a +inf tolerance
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
 @pytest.mark.parametrize(
     "spec, x, xstar",
     [
@@ -131,6 +131,26 @@ def test_eval_burg_prox_past_the_square_overflow(capsys):
     assert code == 0
     assert err == ""
     assert out.splitlines()[1] == "1e+300,-1.0,1.0,1e+300,,0.0,false,false"
+
+
+# a gap or prox that overflows to +inf is the right answer and must not warn;
+# the row norm's vecdot overflow is a separate matter
+@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "spec, x, xstar, row",
+    [
+        ("shannon", "1e306", "1", "1e+306,1.0,1.0,inf,,0.0,false,false"),
+        ("burg", "1e300", "-1e300", "1e+300,-1e+300,1.0,inf,,inf,false,false"),
+    ],
+)
+def test_eval_overflow_to_infinity_does_not_warn(capsys, spec, x, xstar, row):
+    code, out, err = run_cli(
+        capsys, "eval", "--spec", spec, "--x", x, f"--xstar={xstar}", "--gamma", "1"
+    )
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1] == row
 
 
 def _eval(capsys, spec, x, xstar):
@@ -254,6 +274,20 @@ def test_sweep_writes_csv_and_json(capsys, tmp_path):
     rows = list(csv.reader(target.open()))
     assert rows[0] == ["gamma", "value"]
     assert len(rows) == 14
+
+
+def test_sweep_out_with_json_suffix_exits_1(capsys, tmp_path):
+    # the JSON sidecar is --out with a .json suffix, so it would replace the CSV
+    target = tmp_path / "s.json"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1",
+        "--count", "9", "--out", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert f"--out '{target}'" in err and "JSON sidecar" in err
+    assert not target.exists()
 
 
 def test_sweep_bad_grid_exits_1(capsys):

@@ -21,23 +21,44 @@ from proxgap.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
-# (name, argv, file name for --out)
+# (name, command line, file name for --out)
 _RUNS = (
-    ("eval-csv", ["eval", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma", "1.0"], "eval.csv"),
-    ("eval-csv-subspace", ["eval", "--spec", "subspace:dim=2:basis=1,0", "--x", "2,0", "--xstar", "0,3", "--gamma", "0.5"], "eval.csv"),
-    ("eval-json-burg", ["eval", "--spec", "burg", "--x", "2", "--xstar", "-0.5", "--gamma", "2.0", "--format", "json"], "eval.json"),
-    ("eval-json-shannon", ["eval", "--spec", "shannon", "--x", "0.3", "--xstar", "1.7", "--gamma", "0.1", "--format", "json"], "eval.json"),
-    ("sweep-energy", ["sweep", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--count", "9"], "sweep.csv"),
-    ("sweep-rotator", ["sweep", "--spec", "rotator", "--x", "2,-1", "--xstar", "0.5,0.5", "--count", "13"], "sweep.csv"),
-    ("series-constant", ["series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma", "1.0", "--n-terms", "30"], "series.csv"),
-    ("series-schedule", ["series", "--spec", "subspace:dim=2:basis=1,0", "--x", "11,3", "--xstar", "5,7", "--gammas", "2,0.5,1,4", "--n-terms", "4"], "series.csv"),
-    ("pgm", ["pgm", "--step", "0.5", "--gamma", "1.0", "--iters", "40"], "pgm.csv"),
-    ("pgm-y0", ["pgm", "--gamma", "0.3", "--iters", "25", "--y0=-2.5,1.25"], "pgm.csv"),
+    ("eval-csv", "eval --spec energy:dim=2 --x 1,0 --xstar 0,1 --gamma 1.0", "eval.csv"),
+    (
+        "eval-csv-subspace",
+        "eval --spec subspace:dim=2:basis=1,0 --x 2,0 --xstar 0,3 --gamma 0.5",
+        "eval.csv",
+    ),
+    (
+        "eval-json-burg",
+        "eval --spec burg --x 2 --xstar -0.5 --gamma 2.0 --format json",
+        "eval.json",
+    ),
+    (
+        "eval-json-shannon",
+        "eval --spec shannon --x 0.3 --xstar 1.7 --gamma 0.1 --format json",
+        "eval.json",
+    ),
+    ("sweep-energy", "sweep --spec energy:dim=2 --x 1,0 --xstar 0,1 --count 9", "sweep.csv"),
+    ("sweep-rotator", "sweep --spec rotator --x 2,-1 --xstar 0.5,0.5 --count 13", "sweep.csv"),
+    (
+        "series-constant",
+        "series --spec energy:dim=2 --x 1,0 --xstar 0,1 --gamma 1.0 --n-terms 30",
+        "series.csv",
+    ),
+    (
+        "series-schedule",
+        "series --spec subspace:dim=2:basis=1,0 --x 11,3 --xstar 5,7"
+        " --gammas 2,0.5,1,4 --n-terms 4",
+        "series.csv",
+    ),
+    ("pgm", "pgm --step 0.5 --gamma 1.0 --iters 40", "pgm.csv"),
+    ("pgm-y0", "pgm --gamma 0.3 --iters 25 --y0=-2.5,1.25", "pgm.csv"),
 )
 
 CASES = [
-    (f"{name}-{target}", argv + (["--out", f"out/{out}"] if target == "file" else []))
-    for name, argv, out in _RUNS
+    (f"{name}-{target}", line.split() + (["--out", f"out/{out}"] if target == "file" else []))
+    for name, line, out in _RUNS
     for target in ("stdout", "file")
 ]
 

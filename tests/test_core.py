@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proxgap.core import (
-    DEFAULT_TOLERANCES,
-    INF,
-    Tolerances,
-    approx_eq,
+    MEMBERSHIP_TOL,
     as_vector,
     inner,
     membership_scale,
@@ -57,34 +54,12 @@ def test_as_vector_coerces_and_checks():
         as_vector([1.0, np.inf], None, "v")
 
 
-def test_approx_eq_handles_infinities():
-    assert approx_eq(INF, INF, DEFAULT_TOLERANCES)
-    assert not approx_eq(INF, 1.0, DEFAULT_TOLERANCES)
-    assert approx_eq(1.0, 1.0 + 1e-12, DEFAULT_TOLERANCES)
-    assert not approx_eq(1.0, 1.1, DEFAULT_TOLERANCES)
-    # relative part kicks in for large magnitudes
-    assert approx_eq(1e12, 1e12 * (1 + 1e-10), DEFAULT_TOLERANCES)
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(abs_tol=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerances(rel_tol=0.0)
-
-
-def test_tolerances_frozen():
-    with pytest.raises(Exception):
-        DEFAULT_TOLERANCES.abs_tol = 1.0
-
-
 def test_membership_scale_grows_with_inputs():
-    tol = DEFAULT_TOLERANCES
-    small = membership_scale(tol, np.zeros(2))
-    big = membership_scale(tol, np.full(2, 100.0))
-    assert small == tol.abs_tol
+    small = membership_scale(np.zeros(2))
+    big = membership_scale(np.full(2, 100.0))
+    assert small == MEMBERSHIP_TOL
     assert big > small
-    assert math.isclose(big, tol.abs_tol * (1.0 + math.hypot(100.0, 100.0)))
+    assert math.isclose(big, MEMBERSHIP_TOL * (1.0 + math.hypot(100.0, 100.0)))
 
 
 def test_row_norm_has_the_bits_of_linalg_norm():
@@ -100,10 +75,9 @@ def test_row_norm_has_the_bits_of_linalg_norm():
 def test_membership_rejects_an_overflowed_scale():
     # any error above 0 is undecided under an overflowed scale; exactly 0 is
     # a member at every scale
-    tol = DEFAULT_TOLERANCES
-    assert within_membership(1e-300, tol, np.array([1e150, 0.0]))
-    assert not within_membership(1e-300, tol, np.array([1e200, 0.0]))
-    assert within_membership(0.0, tol, np.array([1e200, 0.0]))
+    assert within_membership(1e-300, np.array([1e150, 0.0]))
+    assert not within_membership(1e-300, np.array([1e200, 0.0]))
+    assert within_membership(0.0, np.array([1e200, 0.0]))
     err = np.array([1e-300, 1e-300, 0.0])
-    rows = within_membership(err, tol, np.array([[1e150, 0.0], [1e200, 0.0], [1e200, 0.0]]))
+    rows = within_membership(err, np.array([[1e150, 0.0], [1e200, 0.0], [1e200, 0.0]]))
     assert rows.tolist() == [True, False, True]

@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 from proxgap.bounds import carlier_bound, gap
 from proxgap.catalog import make_energy, make_subspace_indicator, subdifferential_operator
 from proxgap.cyclic import (
-    SERIES_CSV_HEADER,
     GammaSchedule,
     fitzpatrick_n_lower,
     generate_cyclic_sequence,
     ncyclic_identity_check,
     series_bound,
-    series_csv_rows,
 )
+from proxgap.serialize import SERIES_CSV_HEADER, series_csv_rows
 
 
 # -------------------------------------------------------------- schedule

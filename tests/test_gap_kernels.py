@@ -107,7 +107,7 @@ def _edge_pairs(name):
         x_star = [2.0, -3.0, 690.0, 700.0, 1e8, 0.0, 1.0 + 1e-9, 5.0, -1e8, 18.42, 10.0]
     else:
         # U = span{(1, 0)}: x off U and x* off U-perp by half and by twice the
-        # membership tolerance abs_tol * (1 + ||.||), with ||.|| about 1
+        # membership tolerance MEMBERSHIP_TOL * (1 + ||.||), with ||.|| about 1
         half, twice = 0.5 * 1e-9 * 2.0, 2.0 * 1e-9 * 2.0
         x = [[1.0, half], [1.0, twice], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [3.0, -half]]
         x_star = [[0.0, 1.0], [0.0, 1.0], [half, 1.0], [twice, 1.0], [0.0, 0.0], [-half, 1.0]]

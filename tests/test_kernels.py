@@ -19,7 +19,7 @@ from proxgap import catalog
 from proxgap.analysis import gamma_sweep
 from proxgap.bounds import carlier_bound
 from proxgap.catalog import conjugate_function, subdifferential_operator
-from proxgap.core import DEFAULT_TOLERANCES
+from proxgap.core import MEMBERSHIP_TOL
 from proxgap.cyclic import GammaSchedule, generate_cyclic_sequence
 
 ULPS = 4
@@ -78,7 +78,7 @@ def _edge_rows(f):
     The entropies get zeros, tiny and huge magnitudes of both signs and
     the Shannon conjugate's exp ceiling at 690; the subspace gets points of
     U and of U-perp moved off them by half and twice the membership
-    tolerance abs_tol*(1 + ||z||).
+    tolerance MEMBERSHIP_TOL*(1 + ||z||).
     """
     if f.dim == 1:
         ceil = 690.0
@@ -93,7 +93,7 @@ def _edge_rows(f):
     for size in (1e-3, 1.0, 1e6):
         for base, off in ((u_dir, perp_dir), (perp_dir, u_dir)):
             for factor in (0.5, 2.0):
-                step = factor * DEFAULT_TOLERANCES.abs_tol * (1.0 + size)
+                step = factor * MEMBERSHIP_TOL * (1.0 + size)
                 rows.append(size * base + step * off)
     return np.array(rows)
 

@@ -68,3 +68,27 @@ def test_infinity_maps_to_infinity():
         warnings.simplefilter("error")
         assert lambert_w(math.inf) == math.inf
         assert lambert_w_exp(math.inf) == math.inf
+
+
+def _lambert_w_exp_squaring(u):
+    """The log-domain Halley loop with g'' = -1/(w*w) formed at every w."""
+    w = u - math.log(u)
+    for _ in range(50):
+        g = w + math.log(w) - u
+        gp = 1.0 + 1.0 / w
+        gpp = -1.0 / (w * w)
+        step = 2.0 * g * gp / (2.0 * gp * gp - g * gpp)
+        w -= step
+        if abs(step) < 1e-14 * (1.0 + abs(w)):
+            break
+    return w
+
+
+def test_lambert_w_exp_keeps_its_bits_without_squaring_huge_w():
+    # past w = 1e154, g'' is taken as -0.0 instead of squaring w, which
+    # overflows from about 1.34e154; no result may change by a single bit
+    grid = np.geomspace(700.5, 1e308, 20001)
+    us = np.concatenate((grid, np.linspace(9e153, 1.5e154, 2001), [np.finfo(float).max]))
+    got = [lambert_w_exp(u) for u in us.tolist()]
+    want = [_lambert_w_exp_squaring(u) for u in us.tolist()]
+    assert np.array_equal(np.array(got), np.array(want))

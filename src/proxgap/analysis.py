@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import bregman_distance, carlier_bound
 from .catalog import make_burg, make_shannon, subdifferential_operator
-from .core import as_vector
+from .core import as_gamma, as_vector
 from .lambertw import lambert_w_exp
 
 CONVERGE_RANGE_TOL = 1e-6
@@ -137,9 +137,9 @@ def classify_limit_zero(A, x, x_star):
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
 
-    if not A.in_closure_domain(x):
+    if not A.dom.closure_contains(x):
         predicted = LimitClass(KIND_DIVERGES)
-    elif A.in_domain(x):
+    elif A.dom.contains(x):
         predicted = LimitClass(KIND_CONVERGES, 0.0)
     else:
         predicted = LimitClass(KIND_BOUNDARY)
@@ -184,8 +184,14 @@ class BoundaryReport:
     shannon_limit_ok: bool
 
 
-def boundary_limit_regressions(gammas=(1e-2, 1e-4, 1e-6, 1e-8), ys=(-1.0, 0.0, 1.0)):
+_BOUNDARY_GAMMAS = (1e-2, 1e-4, 1e-6, 1e-8)
+_BOUNDARY_YS = (-1.0, 0.0, 1.0)
+
+
+def boundary_limit_regressions():
     """Carlier values at the boundary point x = 0 for Burg and Shannon.
+
+    One row per entry, y in _BOUNDARY_YS and gamma in _BOUNDARY_GAMMAS.
 
     Burg: C(0, y) = ((sqrt(gamma) y + sqrt(gamma y^2 + 4))/2)^2 -> 1.
     Shannon: C(0, y) = gamma * W(exp(y)/gamma)^2 -> 0.
@@ -202,8 +208,8 @@ def boundary_limit_regressions(gammas=(1e-2, 1e-4, 1e-6, 1e-8), ys=(-1.0, 0.0, 1
     shannon_matches = True
     shannon_limit_ok = True
 
-    for y in ys:
-        for gamma in gammas:
+    for y in _BOUNDARY_YS:
+        for gamma in _BOUNDARY_GAMMAS:
             generic = carlier_bound(burg_op, gamma, x0, [y])
             closed = (0.5 * (math.sqrt(gamma) * y + math.sqrt(gamma * y * y + 4.0))) ** 2
             rows.append(BoundaryRow("burg", y, gamma, generic, closed))
@@ -212,7 +218,7 @@ def boundary_limit_regressions(gammas=(1e-2, 1e-4, 1e-6, 1e-8), ys=(-1.0, 0.0, 1
             if gamma <= 1e-8 and abs(generic - 1.0) > 1e-3:
                 burg_limit_ok = False
 
-        for gamma in gammas:
+        for gamma in _BOUNDARY_GAMMAS:
             generic = carlier_bound(shannon_op, gamma, x0, [y])
             w = lambert_w_exp(y - math.log(gamma))
             closed = gamma * w * w
@@ -278,10 +284,8 @@ def pgm_certificates(f_smooth, f_prox, step, gamma, y0, iters=200):
     """
     if f_smooth.gradient is None:
         raise ValueError(f"catalog entry '{f_smooth.name}' has no gradient witness")
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    step = as_gamma(step, "step")
+    gamma = as_gamma(gamma)
     y0 = as_vector(y0, f_smooth.dim, "y0")
 
     x_ref = _pgm_run(f_smooth, f_prox, step, y0, 10 * iters)[-1]

@@ -20,13 +20,12 @@ point with a float gamma, or an ``(m, dim)`` stack with an ``(m, 1)`` column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import INF, MEMBERSHIP_TOL, as_vector, inner, within_membership
+from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, inner, within_membership
 
 
 def gap(f, x, x_star):
@@ -38,22 +37,13 @@ def gap(f, x, x_star):
     return float(f.gap_kernel(as_vector(x, f.dim, "x"), as_vector(x_star, f.dim, "x_star")))
 
 
-def _check_gamma(gamma):
-    gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    return gamma
-
-
 def carlier_bound(A, gamma, x, x_star):
     """C_{A,gamma}(x, x*) = ||x - J_{gamma A}(x + gamma x*)||^2 / gamma.
 
     Finite and nonnegative for every (x, x*) whenever the resolvent is
     everywhere defined, which holds for all catalog operators.
     """
-    gamma = _check_gamma(gamma)
+    gamma = as_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
     return float(_carlier(x, _minty(A.resolvent, gamma, x, x_star)[1], gamma))
@@ -76,7 +66,7 @@ class MintyPair:
 
 def minty_decompose(A, gamma, x, x_star):
     """Resolve (x, x*) into its Minty graph point at parameter gamma."""
-    gamma = _check_gamma(gamma)
+    gamma = as_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
     z, a = _minty(A.resolvent, gamma, x, x_star)
@@ -101,11 +91,11 @@ def dual_carlier_check(A, gamma, x, x_star):
     the catalog provides them), not by rearranging the left side.
     Returns (lhs, rhs).
     """
-    gamma = _check_gamma(gamma)
+    gamma = as_gamma(gamma)
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
     _, a = _minty(A.resolvent, gamma, x, x_star)
-    mu = _check_gamma(1.0 / gamma)
+    mu = as_gamma(1.0 / gamma, "1/gamma")
     _, b = _minty(A.inverse().resolvent, mu, x_star, x)
     return float(_carlier(x, a, gamma)), float(_carlier(x_star, b, mu))
 
@@ -176,7 +166,7 @@ class BoundReport:
 
 def bound_report(f, gamma, x, x_star):
     """Evaluate gap, Fitzpatrick gap, and Carlier bound at one query."""
-    gamma = _check_gamma(gamma)
+    gamma = as_gamma(gamma)
     x = as_vector(x, f.dim, "x")
     x_star = as_vector(x_star, f.dim, "x_star")
 

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import INF, as_vector, row_norm, within_membership
+from .core import INF, as_vector, check_finite, parse_vector, row_norm, within_membership
 from .lambertw import lambert_w_exp
 
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
@@ -130,10 +130,7 @@ def _flipped(kernel):
     """
 
     def flipped(mu, w):
-        z = w / mu
-        if not np.isfinite(z).all():
-            raise ValueError(f"z = w/mu has non-finite entries: {z!r}")
-        return w - mu * kernel(1.0 / mu, z)
+        return w - mu * kernel(1.0 / mu, check_finite(w / mu, "z = w/mu"))
 
     return flipped
 
@@ -163,7 +160,7 @@ class ConvexFunction:
     ``conjugate_prox`` is prox_{sigma f*} and powers the inverse of the
     subdifferential, with ``conjugate_prox_kernel`` as its kernel; when
     ``conjugate_prox`` is absent both are derived from the prox by the
-    Moreau decomposition.
+    Moreau decomposition.  ``subdiff_domain`` and ``subdiff_range`` are dom df and ran df.
     """
 
     name: str
@@ -175,12 +172,12 @@ class ConvexFunction:
     gap_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     prox: Callable[[float, np.ndarray], np.ndarray]
     prox_kernel: Callable[[float, np.ndarray], np.ndarray]
+    subdiff_domain: SetSpec
+    subdiff_range: SetSpec
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     conjugate_prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     conjugate_prox_kernel: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    subdiff_domain: Optional[SetSpec] = None
-    subdiff_range: Optional[SetSpec] = None
 
 
 @dataclass(frozen=True)
@@ -225,9 +222,6 @@ class Operator:
 
     def in_domain(self, x):
         return bool(self.dom.contains(as_vector(x, self.dim, "x")))
-
-    def in_closure_domain(self, x):
-        return bool(self.dom.closure_contains(as_vector(x, self.dim, "x")))
 
     def in_range(self, x_star):
         return bool(self.ran.contains(as_vector(x_star, self.dim, "x_star")))
@@ -292,9 +286,6 @@ def subdifferential_operator(f):
     kernel (row-wise, see :func:`~proxgap.core.within_membership`), and the
     inverse is df* built from the conjugate.
     """
-    if f.subdiff_domain is None or f.subdiff_range is None:
-        raise ValueError(f"catalog entry '{f.name}' lacks subdifferential domain/range data")
-
     def graph_kernel(x, x_star):
         return within_membership(f.gap_kernel(x, x_star), x, x_star)
 
@@ -360,13 +351,13 @@ def make_energy(dim):
 # subspace indicator
 
 
-def orthonormal_basis(vectors, dim=None):
+def orthonormal_basis(vectors):
     """Orthonormalize by modified Gram-Schmidt with one re-orthogonalization.
 
     Raises ValueError when the input is rank-deficient.  Returns an array
     of shape (k, dim) whose rows span the same subspace.
     """
-    rows = [as_vector(v, dim, f"basis vector {i + 1}") for i, v in enumerate(vectors)]
+    rows = [as_vector(v, None, f"basis vector {i + 1}") for i, v in enumerate(vectors)]
     if not rows:
         raise ValueError("basis must contain at least one vector")
     dim = rows[0].size
@@ -689,16 +680,6 @@ def _parse_dim(raw, spec):
     return dim
 
 
-def _parse_vector(raw, spec):
-    try:
-        coords = [float(part) for part in raw.split(",")]
-    except ValueError:
-        raise ValueError(f"bad vector '{raw}' in spec '{spec}'") from None
-    if not coords:
-        raise ValueError(f"bad vector '{raw}' in spec '{spec}'")
-    return coords
-
-
 def parse_spec(spec):
     """Build a catalog entry from a string like ``energy:dim=2``.
 
@@ -729,7 +710,7 @@ def parse_spec(spec):
         if extra:
             raise ValueError(f"unexpected key '{sorted(extra)[0]}' in spec '{spec}'")
         dim = _parse_dim(pairs["dim"], spec)
-        vectors = [_parse_vector(part, spec) for part in pairs["basis"].split(";") if part]
+        vectors = [parse_vector(part, "vector") for part in pairs["basis"].split(";") if part]
         if not vectors:
             raise ValueError(f"spec '{spec}' has an empty basis")
         for v in vectors:

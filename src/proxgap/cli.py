@@ -20,6 +20,7 @@ from . import catalog
 from . import cyclic
 from . import serialize
 from . import verify as verify_mod
+from .core import MEMBERSHIP_TOL, as_gamma, parse_vector
 
 ENV_OUTPUT_DIR = "PROXGAP_OUTPUT_DIR"
 
@@ -31,16 +32,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _parse_cli_vector(text, name):
-    try:
-        coords = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise CliError(f"bad {name} '{text}': expected comma-separated reals") from None
-    if not coords:
-        raise CliError(f"bad {name} '{text}': empty vector")
-    return coords
 
 
 def _function_entry(spec):
@@ -61,12 +52,11 @@ def _resolve_out(out_arg, default_name):
 
 def run_eval(args):
     entry = _function_entry(args.spec)
-    x = _parse_cli_vector(args.x, "--x")
-    x_star = _parse_cli_vector(args.xstar, "--xstar")
-    if not args.gamma > 0.0:
-        raise CliError(f"--gamma must be positive, got {args.gamma!r}")
+    x = parse_vector(args.x, "--x")
+    x_star = parse_vector(args.xstar, "--xstar")
+    gamma = as_gamma(args.gamma, "--gamma")
 
-    report = bounds.bound_report(entry, args.gamma, x, x_star)
+    report = bounds.bound_report(entry, gamma, x, x_star)
 
     if args.format == "json":
         text = serialize.json_text(serialize.report_json(report))
@@ -85,8 +75,8 @@ def run_eval(args):
 def run_sweep(args):
     entry = catalog.parse_spec(args.spec)
     A = catalog.as_operator(entry)
-    x = _parse_cli_vector(args.x, "--x")
-    x_star = _parse_cli_vector(args.xstar, "--xstar")
+    x = parse_vector(args.x, "--x")
+    x_star = parse_vector(args.xstar, "--xstar")
     out = _resolve_out(args.out, "sweep.csv")
     if out is not None and out.suffix == ".json":
         raise CliError(
@@ -112,15 +102,13 @@ def run_sweep(args):
 def run_series(args):
     entry = catalog.parse_spec(args.spec)
     A = catalog.as_operator(entry)
-    x = _parse_cli_vector(args.x, "--x")
-    x_star = _parse_cli_vector(args.xstar, "--xstar")
+    x = parse_vector(args.x, "--x")
+    x_star = parse_vector(args.xstar, "--xstar")
 
     if args.gammas:
-        schedule = cyclic.GammaSchedule.from_values(_parse_cli_vector(args.gammas, "--gammas"))
+        schedule = cyclic.GammaSchedule.from_values(parse_vector(args.gammas, "--gammas"))
     else:
-        if not args.gamma > 0.0:
-            raise CliError(f"--gamma must be positive, got {args.gamma!r}")
-        schedule = cyclic.GammaSchedule.const(args.gamma)
+        schedule = cyclic.GammaSchedule.const(as_gamma(args.gamma, "--gamma"))
 
     seq = cyclic.generate_cyclic_sequence(A, x, x_star, schedule, args.n_terms)
 
@@ -133,7 +121,7 @@ def run_series(args):
     if not isinstance(entry, catalog.Operator):
         g = bounds.gap(entry, x, x_star)
         print(f"gap = {g!r}")
-        if g != float("inf") and total > g + 1e-9 * (1.0 + abs(g)):
+        if g != float("inf") and total > g + MEMBERSHIP_TOL * (1.0 + abs(g)):
             print(
                 f"contract violation: series bound {total!r} exceeds gap {g!r}",
                 file=sys.stderr,
@@ -185,13 +173,11 @@ def run_oracle_compare(args):
 
 
 def run_pgm(args):
-    if not args.step > 0.0:
-        raise CliError(f"--step must be positive, got {args.step!r}")
-    if not args.gamma > 0.0:
-        raise CliError(f"--gamma must be positive, got {args.gamma!r}")
+    step = as_gamma(args.step, "--step")
+    gamma = as_gamma(args.gamma, "--gamma")
     if args.iters < 1:
         raise CliError(f"--iters must be >= 1, got {args.iters!r}")
-    y0 = _parse_cli_vector(args.y0, "--y0")
+    y0 = parse_vector(args.y0, "--y0")
     if len(y0) != 2:
         raise CliError(f"--y0 '{args.y0}' must have dimension 2")
 
@@ -199,7 +185,7 @@ def run_pgm(args):
     f_prox = catalog.make_subspace_indicator([[1.0, 0.0]])
     try:
         trace = analysis.pgm_certificates(
-            f_smooth, f_prox, args.step, args.gamma, y0, iters=args.iters
+            f_smooth, f_prox, step, gamma, y0, iters=args.iters
         )
     except ValueError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
@@ -283,10 +269,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,16 +18,52 @@ INF = math.inf
 MEMBERSHIP_TOL = 1e-9
 
 
+def as_gamma(value, name="gamma"):
+    """A step size or Minty parameter as a positive finite float."""
+    gamma = float(value)
+    if not 0.0 < gamma < INF:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return gamma
+
+
+def check_finite(stack, name):
+    """``stack`` itself when every entry is finite; otherwise ValueError naming it."""
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{name} has non-finite entries: {stack!r}")
+    return stack
+
+
 def as_vector(coords, dim=None, name="vector"):
     """Coerce to a finite 1-D float64 array of positive length."""
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"{name} must be a 1-D sequence with at least one entry")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} has non-finite entries: {x!r}")
+    check_finite(x, name)
     if dim is not None and x.size != dim:
         raise ValueError(f"{name} has dimension {x.size}, expected {dim}")
     return x
+
+
+def as_pairs(points, dim):
+    """The pairs (a_i, a_i*) of ``points`` as finite arrays of dimension ``dim``.
+
+    Raises when there are none; the names a_i and a_star_i count from 1.
+    """
+    pairs = [
+        (as_vector(a, dim, f"a_{i}"), as_vector(a_star, dim, f"a_star_{i}"))
+        for i, (a, a_star) in enumerate(points, 1)
+    ]
+    if not pairs:
+        raise ValueError("points must contain at least one pair")
+    return pairs
+
+
+def parse_vector(text, name):
+    """The reals of a comma-separated string such as ``"1,0.5"``."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"bad {name} '{text}': expected comma-separated reals") from None
 
 
 def inner(x, y):

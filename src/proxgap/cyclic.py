@@ -13,13 +13,12 @@ series is dominated by the Fenchel-Young gap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import as_vector, inner
+from .core import as_gamma, as_pairs, as_vector, inner
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,7 @@ class GammaSchedule:
         if (self.constant is None) == (self.values is None):
             raise ValueError("provide exactly one of constant= or values=")
         for g in (self.constant,) if self.values is None else self.values:
-            if not 0.0 < g < math.inf:
-                raise ValueError(f"gamma must be positive and finite, got {g!r}")
+            as_gamma(g)
         if self.values is not None and len(self.values) == 0:
             raise ValueError("values must be non-empty")
 
@@ -153,12 +151,7 @@ def ncyclic_identity_check(x, x_star, points):
     """
     x = as_vector(x, None, "x")
     x_star = as_vector(x_star, x.size, "x_star")
-    pts = [
-        (as_vector(a, x.size, f"a_{i + 1}"), as_vector(a_star, x.size, f"a_star_{i + 1}"))
-        for i, (a, a_star) in enumerate(points)
-    ]
-    if not pts:
-        raise ValueError("points must contain at least one pair")
+    pts = as_pairs(points, x.size)
 
     lhs = _polarization_lhs(x, x_star, pts)
     rhs = inner(pts[0][0] - x, x_star - pts[0][1])
@@ -186,11 +179,9 @@ def fitzpatrick_n_lower(A, x, x_star, points):
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    pts = list(points)
-    if not pts:
-        raise ValueError("points must contain at least one pair")
-    for i, (a, a_star) in enumerate(pts):
-        if not A.graph_contains(a, a_star):
-            raise ValueError(f"point {i + 1} is not in the graph of {A.name}")
+    pts = as_pairs(points, A.dim)
+    for i, (a, a_star) in enumerate(pts, 1):
+        if not A.graph_kernel(a, a_star):
+            raise ValueError(f"point {i} is not in the graph of {A.name}")
 
     return _polarization_lhs(x, x_star, pts)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, as_vector, inner
+from .core import INF, as_gamma, as_pairs, as_vector, inner
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -197,8 +197,7 @@ def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
     """
     if f.dim > 3:
         raise ValueError(f"numeric_prox supports dim <= 3, got {f.dim}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    gamma = as_gamma(gamma)
     z = as_vector(z, f.dim, "z")
 
     def objective(p):
@@ -257,15 +256,10 @@ def sampled_fitzpatrick(A, x, x_star, samples):
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    pts = list(samples)
-    if not pts:
-        raise ValueError("samples must contain at least one graph pair")
     best = -INF
-    for i, (a, a_star) in enumerate(pts):
-        a = as_vector(a, A.dim, f"a_{i + 1}")
-        a_star = as_vector(a_star, A.dim, f"a_star_{i + 1}")
-        if not A.graph_contains(a, a_star):
-            raise ValueError(f"sample {i + 1} is not in the graph of {A.name}")
+    for i, (a, a_star) in enumerate(as_pairs(samples, A.dim), 1):
+        if not A.graph_kernel(a, a_star):
+            raise ValueError(f"sample {i} is not in the graph of {A.name}")
         value = inner(x, a_star) + inner(a, x_star) - inner(a, a_star)
         if value > best:
             best = value

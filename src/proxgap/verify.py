@@ -33,7 +33,7 @@ from .catalog import (
     make_subspace_indicator,
     subdifferential_operator,
 )
-from .core import INF
+from .core import INF, check_finite
 from .oracle import numeric_conjugate, numeric_prox
 
 _MAX_REPORTED = 5
@@ -101,13 +101,6 @@ def domain_sample(f, rng):
     return _domain_points(f, rng.normal(size=f.dim))
 
 
-def _finite(name, stack):
-    """The finiteness check a public call makes on each row of ``stack``."""
-    if not np.isfinite(stack).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return stack
-
-
 def _over_gammas(*points):
     """The ``(m, 1)`` gamma column and each point stack repeated to match:
     every point once per gamma of ``GAMMA_SET``, point-major."""
@@ -127,7 +120,7 @@ def run_chain_suite(rng, slack=None):
         draws = rng.normal(size=(50, 2, f.dim))
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
         g = f.gap_kernel(x, x_star)
-        c = _carlier(x, f.prox_kernel(gamma, _finite("z", x + gamma * x_star)), gamma)
+        c = _carlier(x, f.prox_kernel(gamma, check_finite(x + gamma * x_star, "z")), gamma)
         fitz = None if f.fitzpatrick_gap is None else f.fitzpatrick_gap(x, x_star)
         fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
         ok = fitz_ok & capped & nonnegative
@@ -149,9 +142,10 @@ def run_duality_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(40, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        lhs = _carlier(x, A.resolvent_kernel(gamma, _finite("z", x + gamma * x_star)), gamma)
+        lhs = _carlier(x, A.resolvent_kernel(gamma, check_finite(x + gamma * x_star, "z")), gamma)
         mu = 1.0 / gamma
-        rhs = _carlier(x_star, A.inverse().resolvent_kernel(mu, _finite("z", x_star + mu * x)), mu)
+        w = check_finite(x_star + mu * x, "z")
+        rhs = _carlier(x_star, A.inverse().resolvent_kernel(mu, w), mu)
         ok = np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs))
 
         def message(r):
@@ -177,8 +171,8 @@ def run_minty_suite(rng, slack=None):
         draws = rng.normal(size=(20, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
         z = x + gamma * x_star
-        a = _finite("a", A.resolvent_kernel(gamma, _finite("z", z)))
-        a_star = _finite("a_star", (z - a) / gamma)
+        a = check_finite(A.resolvent_kernel(gamma, check_finite(z, "z")), "a")
+        a_star = check_finite((z - a) / gamma, "a_star")
 
         m3 = np.max(np.abs(z - (a + gamma * a_star)), axis=1)
         d, e = x - a, x_star - a_star
@@ -287,12 +281,12 @@ def oracle_comparison(f, rng, count):
     return list(zip(queries, closed, est)), proxes
 
 
-def run_oracle_suite(rng, slack=None, count=5):
+def run_oracle_suite(rng, slack=None):
     result = SuiteResult("oracle-agreement")
     s_conj = _pick(slack, ORACLE_CONJUGATE_SLACK)
     s_prox = _pick(slack, ORACLE_PROX_SLACK)
     for f in function_entries():
-        conj, proxes = oracle_comparison(f, rng, count)
+        conj, proxes = oracle_comparison(f, rng, 5)
         result.record(
             [not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c)) for _, c, e in conj],
             lambda i: (

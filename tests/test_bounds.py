@@ -86,9 +86,9 @@ def test_carlier_rejects_bad_gamma(energy2):
 
 def test_carlier_rejects_non_finite_gamma(energy2):
     A = subdifferential_operator(energy2)
-    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got inf"):
         carlier_bound(A, math.inf, X1, XSTAR1)
-    with pytest.raises(ValueError, match="gamma must be positive, got nan"):
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got nan"):
         carlier_bound(A, math.nan, X1, XSTAR1)
 
 
@@ -163,6 +163,12 @@ def test_dual_carlier_rotator(rotator, rng):
         x_star = rng.normal(size=2) * 3.0
         lhs, rhs = dual_carlier_check(rotator, 0.5, x, x_star)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+def test_dual_carlier_rejects_a_gamma_whose_inverse_overflows(energy2):
+    A = subdifferential_operator(energy2)
+    with pytest.raises(ValueError, match="1/gamma must be positive and finite, got inf"):
+        dual_carlier_check(A, 1e-320, X1, XSTAR1)
 
 
 def test_dual_carlier_graph_point(energy2):

@@ -229,6 +229,28 @@ def test_eval_usage_errors_exit_1(capsys, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["pgm", "--gamma", "inf"], "--gamma must be positive and finite, got inf"),
+        (["pgm", "--step", "inf"], "--step must be positive and finite, got inf"),
+        (["pgm", "--step", "0"], "--step must be positive and finite, got 0.0"),
+        (
+            ["series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma", "inf"],
+            "--gamma must be positive and finite, got inf",
+        ),
+        (
+            ["eval", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma", "nan"],
+            "--gamma must be positive and finite, got nan",
+        ),
+    ],
+)
+def test_gamma_and_step_flags_reject_non_finite_exit_1(capsys, argv, fragment):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert fragment in err
+
+
 def test_unknown_subcommand_exits_1(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1

@@ -6,9 +6,13 @@ from hypothesis import given, strategies as st
 
 from proxgap.core import (
     MEMBERSHIP_TOL,
+    as_gamma,
+    as_pairs,
     as_vector,
+    check_finite,
     inner,
     membership_scale,
+    parse_vector,
     row_norm,
     within_membership,
 )
@@ -81,3 +85,41 @@ def test_membership_rejects_an_overflowed_scale():
     err = np.array([1e-300, 1e-300, 0.0])
     rows = within_membership(err, np.array([[1e150, 0.0], [1e200, 0.0], [1e200, 0.0]]))
     assert rows.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_as_gamma_rejects_non_positive_and_non_finite(value):
+    with pytest.raises(ValueError, match=f"^step must be positive and finite, got {value!r}$"):
+        as_gamma(value, "step")
+
+
+def test_as_gamma_returns_a_float():
+    g = as_gamma(np.float64(0.25))
+    assert g == 0.25 and type(g) is float
+    assert as_gamma(5e-324) == 5e-324
+
+
+def test_check_finite_names_the_stack():
+    stack = np.zeros((2, 3))
+    assert check_finite(stack, "z") is stack
+    stack[1, 2] = math.inf
+    with pytest.raises(ValueError, match="^z has non-finite entries"):
+        check_finite(stack, "z")
+
+
+def test_parse_vector():
+    assert parse_vector("1,-2.5,1e3", "--x") == [1.0, -2.5, 1000.0]
+    for text in ("", "1,", "1,oops"):
+        with pytest.raises(ValueError, match=f"^bad --x '{text}': expected comma-separated reals$"):
+            parse_vector(text, "--x")
+
+
+def test_as_pairs_checks_every_point_once():
+    pairs = as_pairs([([1, 2], (3.0, 4.0))], 2)
+    assert [(a.tolist(), s.tolist()) for a, s in pairs] == [([1.0, 2.0], [3.0, 4.0])]
+    with pytest.raises(ValueError, match="at least one pair"):
+        as_pairs([], 2)
+    with pytest.raises(ValueError, match="^a_star_2 has dimension 1, expected 2$"):
+        as_pairs([([1, 2], [3, 4]), ([1, 2], [3])], 2)
+    with pytest.raises(ValueError, match="^a_1 has non-finite entries"):
+        as_pairs([([1, math.nan], [3, 4])], 2)

@@ -223,6 +223,14 @@ def test_fitz_lower_hand_sum():
     assert abs(val - 4.0) <= 1e-15
 
 
+def test_fitz_lower_takes_list_points(rotator):
+    A = rotator
+    points = [([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [-1.0, 0.0])]
+    as_arrays = [(np.array(a), np.array(a_star)) for a, a_star in points]
+    assert fitzpatrick_n_lower(A, [1.0, 2.0], [0.0, 1.0], as_arrays) == -2.0
+    assert fitzpatrick_n_lower(A, [1.0, 2.0], [0.0, 1.0], points) == -2.0
+
+
 def test_fitz_lower_rejects_non_graph_point(burg):
     A = subdifferential_operator(burg)
     good = (np.array([2.0]), np.array([-0.5]))

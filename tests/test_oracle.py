@@ -150,6 +150,11 @@ def test_sampled_fitzpatrick_graph_point_zero(energy2):
     assert abs(est) <= 1e-12
 
 
+def test_numeric_prox_rejects_infinite_gamma(energy2):
+    with pytest.raises(ValueError, match="gamma must be positive and finite, got inf"):
+        numeric_prox(energy2, math.inf, [1.0, 2.0])
+
+
 def test_sampled_fitzpatrick_validates_samples(burg):
     A = subdifferential_operator(burg)
     with pytest.raises(ValueError, match="sample 1 is not in the graph"):

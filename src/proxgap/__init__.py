@@ -58,7 +58,7 @@ from .cyclic import (
     series_bound,
 )
 from .lambertw import lambert_w, lambert_w_exp
-from .oracle import GridMax, GridSpec, numeric_conjugate, numeric_prox, sampled_fitzpatrick
+from .oracle import GridMax, numeric_conjugate, numeric_prox, sampled_fitzpatrick
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "CyclicSequence",
     "GammaSchedule",
     "GridMax",
-    "GridSpec",
     "INF",
     "LimitClass",
     "MEMBERSHIP_TOL",

@@ -279,8 +279,9 @@ def pgm_certificates(f_smooth, f_prox, step, gamma, y0, iters=200):
     """Run PGM on f_smooth + f_prox and certify every iterate.
 
     The reference point is the final iterate of a run ten times longer,
-    so the certificates measure progress toward the scheme's own fixed
-    point rather than an externally supplied answer.
+    whose first iters + 1 points are the certified iterates, so the
+    certificates measure progress toward the scheme's own fixed point
+    rather than an externally supplied answer.
     """
     if f_smooth.gradient is None:
         raise ValueError(f"catalog entry '{f_smooth.name}' has no gradient witness")
@@ -288,8 +289,8 @@ def pgm_certificates(f_smooth, f_prox, step, gamma, y0, iters=200):
     gamma = as_gamma(gamma)
     y0 = as_vector(y0, f_smooth.dim, "y0")
 
-    x_ref = _pgm_run(f_smooth, f_prox, step, y0, 10 * iters)[-1]
-    iterates = _pgm_run(f_smooth, f_prox, step, y0, iters)
+    run = _pgm_run(f_smooth, f_prox, step, y0, 10 * iters)
+    x_ref, iterates = run[-1], run[: iters + 1]
 
     A = subdifferential_operator(f_smooth)
     certs = np.array(

@@ -220,12 +220,6 @@ class Operator:
         x_star = as_vector(x_star, self.dim, "x_star")
         return bool(self.graph_kernel(x, x_star))
 
-    def in_domain(self, x):
-        return bool(self.dom.contains(as_vector(x, self.dim, "x")))
-
-    def in_range(self, x_star):
-        return bool(self.ran.contains(as_vector(x_star, self.dim, "x_star")))
-
 
 def _generic_inverse(A, kernel=None):
     """A^{-1} with ``kernel`` as the kernel of J_{mu A^{-1}}, by default the

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,28 +24,13 @@ from .core import INF, as_gamma, as_pairs, as_vector, inner
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search box and resolution for the grid oracles."""
-
-    lo: float = -50.0
-    hi: float = 50.0
-    points_per_axis: Optional[int] = None
-    refine_rounds: int = 3
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"grid requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.points_per_axis is not None and self.points_per_axis < 3:
-            raise ValueError("points_per_axis must be at least 3")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be nonnegative")
-
-    def resolve_points(self, dim):
-        if self.points_per_axis is not None:
-            return self.points_per_axis
-        return 20001 if dim == 1 else 201
+# the search box [LO, HI] on every axis; the conjugate grid's points per axis
+# by dimension and its refinement rounds; the prox's sweeps and golden section
+LO, HI = -50.0, 50.0
+POINTS_PER_AXIS = {1: 20001, 2: 201}
+REFINE_ROUNDS = 3
+SWEEPS = 200
+GOLDEN_ITERS, GOLDEN_XTOL = 200, 1e-11
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ def _scan_box(f, x_star, lows, highs, n):
     return _scan(points, values, x_star, lows, highs)
 
 
-def numeric_conjugate(f, x_star, grid=GridSpec()):
+def numeric_conjugate(f, x_star):
     """Estimate f*(x*) = sup_x <x, x*> - f(x) from below on a grid.
 
     Supports dim <= 2.  Each refinement round shrinks the box tenfold
@@ -122,16 +106,16 @@ def numeric_conjugate(f, x_star, grid=GridSpec()):
     if f.dim > 2:
         raise ValueError(f"numeric_conjugate supports dim <= 2, got {f.dim}")
     queries = [as_vector(q, f.dim, "x_star") for q in ([x_star] if one else x_star)]
-    n = grid.resolve_points(f.dim)
+    n = POINTS_PER_AXIS[f.dim]
 
-    best = _scan_box(f, queries, np.full(f.dim, grid.lo), np.full(f.dim, grid.hi), n)
-    half_width = 0.5 * (grid.hi - grid.lo)
-    for _ in range(grid.refine_rounds):
+    best = _scan_box(f, queries, np.full(f.dim, LO), np.full(f.dim, HI), n)
+    half_width = 0.5 * (HI - LO)
+    for _ in range(REFINE_ROUNDS):
         half_width /= 10.0
         boxes = {}
         for i, (_, arg) in enumerate(best):
-            box_lo = np.clip(arg - half_width, grid.lo, grid.hi)
-            box_hi = np.clip(arg + half_width, grid.lo, grid.hi)
+            box_lo = np.clip(arg - half_width, LO, HI)
+            box_hi = np.clip(arg + half_width, LO, HI)
             key = (box_lo.tobytes(), box_hi.tobytes())
             boxes.setdefault(key, (box_lo, box_hi, []))[2].append(i)
         for box_lo, box_hi, members in boxes.values():
@@ -140,14 +124,12 @@ def numeric_conjugate(f, x_star, grid=GridSpec()):
                 if val > best[i][0]:
                     best[i] = (val, arg)
 
-    spacing = (grid.hi - grid.lo) / (n - 1)
+    spacing = (HI - LO) / (n - 1)
     results = []
     for best_val, best_arg in best:
         if best_val == -INF:
             raise ValueError("objective is -inf on the entire grid")
-        on_boundary = bool(
-            np.any(best_arg <= grid.lo + spacing) or np.any(best_arg >= grid.hi - spacing)
-        )
+        on_boundary = bool(np.any(best_arg <= LO + spacing) or np.any(best_arg >= HI - spacing))
         results.append(GridMax(value=best_val, argmax=best_arg, on_boundary=on_boundary))
     return results[0] if one else results
 
@@ -158,13 +140,13 @@ def _line_points(p, axis, ts):
     return points
 
 
-def _golden(g, a, b, iters=200, xtol=1e-11):
+def _golden(g, a, b):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     gc = g(c)
     gd = g(d)
-    for _ in range(iters):
-        if b - a < xtol:
+    for _ in range(GOLDEN_ITERS):
+        if b - a < GOLDEN_XTOL:
             break
         if gc < gd:
             b, d, gd = d, c, gc
@@ -178,7 +160,7 @@ def _golden(g, a, b, iters=200, xtol=1e-11):
     return mid, g(mid)
 
 
-def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
+def numeric_prox(f, gamma, z):
     """Minimize 0.5*||p - z||^2 + gamma*f(p) by coordinate golden section.
 
     Supports dim <= 3.  Each coordinate pass first scans the line on a
@@ -208,11 +190,11 @@ def numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
         d = points - z
         return 0.5 * np.sum(d * d, axis=1) + gamma * f.value_kernel(points)
 
-    p = np.clip(z, grid.lo, grid.hi)
+    p = np.clip(z, LO, HI)
     best = objective(p)
-    ts = np.linspace(grid.lo, grid.hi, 1001)
+    ts = np.linspace(LO, HI, 1001)
     quiet = 0  # searches since the last accepted update of p and best
-    for sweep in range(sweeps):
+    for sweep in range(SWEEPS):
         moved = 0.0
         for axis in range(f.dim):
             if sweep and quiet >= f.dim - 1:

@@ -245,7 +245,8 @@ def run_pair_suite(rng, slack=None):
 
 def conjugate_queries(f, rng, count):
     """Query points where the closed-form conjugate is finite and the
-    maximizer is interior to the oracle box."""
+    maximizer is interior to the oracle box.  For a subspace U this is
+    the U-perp part of (0, ..., 0, u)."""
     out = []
     for _ in range(count):
         if f.name == "energy":
@@ -253,7 +254,7 @@ def conjugate_queries(f, rng, count):
         elif f.name == "subspace":
             q = np.zeros(f.dim)
             q[-1] = rng.uniform(-5.0, 5.0)
-            out.append(q)
+            out.append(q - f.prox_kernel(1.0, q))
         elif f.name == "burg":
             out.append(np.array([-math.exp(rng.uniform(-2.0, 1.0))]))
         else:
@@ -266,42 +267,51 @@ def prox_queries(f, rng, count):
     return [(gammas[i % len(gammas)], rng.uniform(-5.0, 5.0, size=f.dim)) for i in range(count)]
 
 
-def oracle_comparison(f, rng, count):
-    """``count`` conjugate, then ``count`` prox queries from rng, each with its
-    closed form and oracle estimate: rows (x*, f*(x*), GridMax) and rows
-    (gamma, z, closed prox, oracle prox, max-norm error)."""
+def oracle_comparison(f, rng, count, slack=None):
+    """``count`` conjugate, then ``count`` prox queries from rng: rows
+    (x*, f*(x*), GridMax, ok) and (gamma, z, closed prox, oracle prox,
+    max-norm error, ok).  A conjugate is ok when the oracle's incumbent is
+    off the box boundary and |oracle - closed| <= slack * (1 + |closed|),
+    a prox when its error is <= slack; ``slack`` overrides both defaults."""
+    s_conj = _pick(slack, ORACLE_CONJUGATE_SLACK)
+    s_prox = _pick(slack, ORACLE_PROX_SLACK)
     queries = conjugate_queries(f, rng, count)
     closed = [f.conjugate(x_star) for x_star in queries]
     est = numeric_conjugate(f, np.reshape(queries, (-1, f.dim)))
+    conj = [
+        (q, c, e, not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c)))
+        for q, c, e in zip(queries, closed, est)
+    ]
     proxes = []
     for gamma, z in prox_queries(f, rng, count):
         closed_p = f.prox(gamma, z)
         est_p = numeric_prox(f, gamma, z)
-        proxes.append((gamma, z, closed_p, est_p, float(np.max(np.abs(est_p - closed_p)))))
-    return list(zip(queries, closed, est)), proxes
+        err = float(np.max(np.abs(est_p - closed_p)))
+        proxes.append((gamma, z, closed_p, est_p, err, err <= s_prox))
+    return conj, proxes
 
 
 def run_oracle_suite(rng, slack=None):
     result = SuiteResult("oracle-agreement")
-    s_conj = _pick(slack, ORACLE_CONJUGATE_SLACK)
-    s_prox = _pick(slack, ORACLE_PROX_SLACK)
     for f in function_entries():
-        conj, proxes = oracle_comparison(f, rng, 5)
-        result.record(
-            [not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c)) for _, c, e in conj],
-            lambda i: (
-                f"{f.name} conjugate at {conj[i][0].tolist()}: closed={conj[i][1]!r} "
-                f"oracle={conj[i][2].value!r} boundary={conj[i][2].on_boundary}"
-            ),
-        )
-        for gamma, z, closed_p, est_p, err in proxes:
-            result.record(
-                [err <= s_prox],
-                lambda i: (
-                    f"{f.name} prox gamma={gamma} z={z.tolist()}: closed={closed_p.tolist()} "
-                    f"oracle={est_p.tolist()} err={err!r}"
-                ),
+        conj, proxes = oracle_comparison(f, rng, 5, slack)
+
+        def conj_message(i):
+            x_star, closed, est, _ = conj[i]
+            return (
+                f"{f.name} conjugate at {x_star.tolist()}: closed={closed!r} "
+                f"oracle={est.value!r} boundary={est.on_boundary}"
             )
+
+        def prox_message(i):
+            gamma, z, closed, est, err, _ = proxes[i]
+            return (
+                f"{f.name} prox gamma={gamma} z={z.tolist()}: closed={closed.tolist()} "
+                f"oracle={est.tolist()} err={err!r}"
+            )
+
+        result.record([row[-1] for row in conj], conj_message)
+        result.record([row[-1] for row in proxes], prox_message)
     return result
 
 

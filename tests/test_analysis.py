@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -220,6 +221,22 @@ def test_pgm_reference_start_gives_zero_certificates(energy2, subspace_e1):
     trace = pgm_certificates(energy2, subspace_e1, 0.5, 1.0, [0.0, 0.0], iters=20)
     assert np.allclose(trace.carlier_certs, 0.0, atol=1e-15)
     assert np.allclose(trace.bregman_refs, 0.0, atol=1e-15)
+
+
+def test_pgm_runs_its_recursion_once(energy2, subspace_e1):
+    # the certified iterates are the head of the reference run: 10 * iters
+    # prox steps in all, where a second run would add iters more
+    calls = []
+
+    def prox(gamma, z):
+        calls.append(gamma)
+        return subspace_e1.prox(gamma, z)
+
+    counted = dataclasses.replace(subspace_e1, prox=prox)
+    trace = pgm_certificates(energy2, counted, 0.5, 1.0, [4.0, 3.0], iters=7)
+    assert len(calls) == 70
+    head = pgm_certificates(energy2, subspace_e1, 0.5, 1.0, [4.0, 3.0], iters=70)
+    assert [y.tobytes() for y in trace.iterates] == [y.tobytes() for y in head.iterates[:8]]
 
 
 def test_pgm_divergence_raises(energy2, subspace_e1):

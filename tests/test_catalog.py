@@ -421,7 +421,7 @@ def test_generic_inverse_fallback_identity(burg, rng):
                 generic.resolvent(mu, w), closed.resolvent(mu, w), atol=1e-10
             )
     # graph and domain bookkeeping are swapped, inverse() undoes it
-    assert generic.in_domain([-0.5]) and generic.in_range([2.0])
+    assert generic.dom.contains(np.array([-0.5])) and generic.ran.contains(np.array([2.0]))
     assert generic.inverse() is bare
 
 
@@ -431,15 +431,15 @@ def test_inverse_operator_helper(energy2, rng):
     z = rng.normal(size=2)
     # energy has gradient = identity, so the inverse resolvent matches
     assert np.allclose(inv.resolvent(1.0, z), op.resolvent(1.0, z))
-    assert inv.in_domain(z) and inv.in_range(z)
+    assert inv.dom.contains(z) and inv.ran.contains(z)
 
 
 def test_inverse_swaps_domain_and_range(burg):
     op = subdifferential_operator(burg)
     inv = op.inverse()
-    assert op.in_domain([2.0]) and not op.in_domain([-2.0])
-    assert inv.in_range([2.0]) and not inv.in_range([-2.0])
-    assert inv.in_domain([-0.5]) and not inv.in_domain([0.5])
+    assert op.dom.contains(np.array([2.0])) and not op.dom.contains(np.array([-2.0]))
+    assert inv.ran.contains(np.array([2.0])) and not inv.ran.contains(np.array([-2.0]))
+    assert inv.dom.contains(np.array([-0.5])) and not inv.dom.contains(np.array([0.5]))
 
 
 def test_inverse_is_built_once(request):

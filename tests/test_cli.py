@@ -243,6 +243,24 @@ def test_eval_usage_errors_exit_1(capsys, argv, fragment):
             ["eval", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma", "nan"],
             "--gamma must be positive and finite, got nan",
         ),
+        (
+            ["series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1"]
+            + ["--gammas", "1,inf"],
+            "--gammas must be positive and finite, got inf",
+        ),
+        (
+            ["sweep", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma-lo", "0"],
+            "--gamma-lo must be positive and finite, got 0.0",
+        ),
+        (
+            ["sweep", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1"]
+            + ["--gamma-hi", "inf"],
+            "--gamma-hi must be positive and finite, got inf",
+        ),
+        (
+            ["series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--n-terms", "0"],
+            "--n-terms must be >= 1, got 0",
+        ),
     ],
 )
 def test_gamma_and_step_flags_reject_non_finite_exit_1(capsys, argv, fragment):
@@ -418,6 +436,55 @@ def test_oracle_compare_stacked_conjugates_equal_one_query_calls(capsys):
             f"conjugate x_star={x_star.tolist()}: closed={closed!r} "
             f"oracle={est.value!r} delta={abs(est.value - closed)!r}"
         )
+
+
+AXIS_SUBSPACE = "subspace:dim=2:basis=0,1"
+
+
+def test_oracle_compare_subspace_queries_have_finite_conjugates(capsys):
+    # U = span{(0, 1)} holds the draw (0, u), where f* is +inf; the query
+    # is its U-perp part
+    code, out, _ = run_cli(capsys, "oracle-compare", "--spec", AXIS_SUBSPACE, "--count", "3")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("conjugate ")]
+    assert len(lines) == 3
+    for line in lines:
+        assert math.isfinite(float(line.split("closed=")[1].split()[0]))
+
+
+def _unprojected_queries(f, rng, count):
+    """(0, ..., 0, u) for every query, in U-perp only if the last axis is."""
+    out = []
+    for _ in range(count):
+        q = np.zeros(f.dim)
+        q[-1] = rng.uniform(-5.0, 5.0)
+        out.append(q)
+    return out
+
+
+def test_oracle_compare_and_suite_share_one_verdict(capsys, monkeypatch):
+    # queries in U fail every conjugate row (closed form +inf, oracle
+    # incumbent on the box boundary), and both reports must say so
+    monkeypatch.setattr(verify, "conjugate_queries", _unprojected_queries)
+    code, out, err = run_cli(
+        capsys, "oracle-compare", "--spec", AXIS_SUBSPACE, "--count", "5", "--seed", "7"
+    )
+    assert code == 2
+    assert "contract violation: oracle disagrees" in err
+    assert out.count("closed=inf") == 5
+    assert "worst conjugate delta (relative) = inf" in out
+
+    monkeypatch.setattr(verify, "function_entries", lambda: [catalog.parse_spec(AXIS_SUBSPACE)])
+    suite = verify.run_oracle_suite(np.random.default_rng(7))
+    assert (suite.passed, suite.failed) == (5, 5)
+    assert all(" conjugate at " in m and "boundary=True" in m for m in suite.failures)
+
+
+def test_oracle_compare_negative_count_exits_1(capsys):
+    code, out, err = run_cli(capsys, "oracle-compare", "--spec", "burg", "--count", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--count must be >= 0, got -1" in err
 
 
 def test_oracle_compare_count_zero_exits_0(capsys):

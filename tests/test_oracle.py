@@ -5,18 +5,7 @@ import pytest
 
 from proxgap.bounds import carlier_bound, minty_decompose
 from proxgap.catalog import subdifferential_operator
-from proxgap.oracle import GridSpec, numeric_conjugate, numeric_prox, sampled_fitzpatrick
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(lo=1.0, hi=-1.0)
-    with pytest.raises(ValueError):
-        GridSpec(points_per_axis=2)
-    with pytest.raises(ValueError):
-        GridSpec(refine_rounds=-1)
-    assert GridSpec().resolve_points(1) == 20001
-    assert GridSpec().resolve_points(2) == 201
+from proxgap.oracle import numeric_conjugate, numeric_prox, sampled_fitzpatrick
 
 
 # --------------------------------------------------------- conjugates

@@ -17,8 +17,11 @@ import pytest
 from proxgap import catalog, verify
 from proxgap.core import INF, as_vector
 from proxgap.oracle import (
+    HI,
+    LO,
+    POINTS_PER_AXIS,
+    REFINE_ROUNDS,
     GridMax,
-    GridSpec,
     _golden,
     _grid,
     _line_points,
@@ -35,27 +38,27 @@ def _ref_scan_box(f, x_star, lows, highs, n):
     return _scan(points, f.value_kernel(points), x_star, lows, highs)
 
 
-def ref_numeric_conjugate(f, x_star, grid=GridSpec()):
+def ref_numeric_conjugate(f, x_star):
     """Query-major: each query runs all of its refinement rounds in turn."""
     if f.dim > 2:
         raise ValueError(f"numeric_conjugate supports dim <= 2, got {f.dim}")
     one = np.ndim(x_star) != 2
     queries = [as_vector(q, f.dim, "x_star") for q in ([x_star] if one else x_star)]
-    n = grid.resolve_points(f.dim)
+    n = POINTS_PER_AXIS[f.dim]
 
-    lows = np.full(f.dim, grid.lo)
-    highs = np.full(f.dim, grid.hi)
+    lows = np.full(f.dim, LO)
+    highs = np.full(f.dim, HI)
     points = _grid(lows, highs, n)
     values = f.value_kernel(points)
-    spacing = (grid.hi - grid.lo) / (n - 1)
+    spacing = (HI - LO) / (n - 1)
     results = []
     for q in queries:
         best_val, best_arg = _scan(points, values, q, lows, highs)
-        half_width = 0.5 * (grid.hi - grid.lo)
-        for _ in range(grid.refine_rounds):
+        half_width = 0.5 * (HI - LO)
+        for _ in range(REFINE_ROUNDS):
             half_width /= 10.0
-            box_lo = np.clip(best_arg - half_width, grid.lo, grid.hi)
-            box_hi = np.clip(best_arg + half_width, grid.lo, grid.hi)
+            box_lo = np.clip(best_arg - half_width, LO, HI)
+            box_hi = np.clip(best_arg + half_width, LO, HI)
             val, arg = _ref_scan_box(f, q, box_lo, box_hi, n)
             if val > best_val:
                 best_val, best_arg = val, arg
@@ -63,14 +66,12 @@ def ref_numeric_conjugate(f, x_star, grid=GridSpec()):
         if best_val == -INF:
             raise ValueError("objective is -inf on the entire grid")
 
-        on_boundary = bool(
-            np.any(best_arg <= grid.lo + spacing) or np.any(best_arg >= grid.hi - spacing)
-        )
+        on_boundary = bool(np.any(best_arg <= LO + spacing) or np.any(best_arg >= HI - spacing))
         results.append(GridMax(value=best_val, argmax=best_arg, on_boundary=on_boundary))
     return results[0] if one else results
 
 
-def ref_numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
+def ref_numeric_prox(f, gamma, z, sweeps=200):
     """No skip: every sweep searches every axis."""
     if f.dim > 3:
         raise ValueError(f"numeric_prox supports dim <= 3, got {f.dim}")
@@ -86,9 +87,9 @@ def ref_numeric_prox(f, gamma, z, grid=GridSpec(), sweeps=200):
         d = points - z
         return 0.5 * np.sum(d * d, axis=1) + gamma * f.value_kernel(points)
 
-    p = np.clip(z, grid.lo, grid.hi)
+    p = np.clip(z, LO, HI)
     best = objective(p)
-    ts = np.linspace(grid.lo, grid.hi, 1001)
+    ts = np.linspace(LO, HI, 1001)
     for _ in range(sweeps):
         moved = 0.0
         for axis in range(f.dim):
@@ -127,19 +128,19 @@ def _fields(result):
     return (result.value, result.argmax.tobytes(), result.on_boundary)
 
 
-def assert_conjugates_equal(f, stack, grid=GridSpec(), one_point=False):
-    got = numeric_conjugate(f, stack, grid)
-    want = ref_numeric_conjugate(f, stack, grid)
+def assert_conjugates_equal(f, stack, one_point=False):
+    got = numeric_conjugate(f, stack)
+    want = ref_numeric_conjugate(f, stack)
     assert [_fields(g) for g in got] == [_fields(w) for w in want]
     if one_point:
         for q, g in zip(stack, got):
-            assert _fields(numeric_conjugate(f, q, grid)) == _fields(g)
+            assert _fields(numeric_conjugate(f, q)) == _fields(g)
 
 
-def assert_proxes_equal(f, queries, grid=GridSpec()):
+def assert_proxes_equal(f, queries):
     for gamma, z in queries:
-        got = numeric_prox(f, gamma, z, grid)
-        assert got.tobytes() == ref_numeric_prox(f, gamma, z, grid).tobytes(), (gamma, z)
+        got = numeric_prox(f, gamma, z)
+        assert got.tobytes() == ref_numeric_prox(f, gamma, z).tobytes(), (gamma, z)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -164,17 +165,6 @@ def test_random_prox_queries_equal_reference(f):
     rng = np.random.default_rng(17)
     queries = [(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-5.0, 5.0, f.dim)) for _ in range(8)]
     assert_proxes_equal(f, queries)
-
-
-@pytest.mark.parametrize(
-    "grid", [GridSpec(refine_rounds=0), GridSpec(points_per_axis=5)], ids=["rounds0", "n5"]
-)
-def test_other_grids_equal_reference(grid):
-    rng = np.random.default_rng(3)
-    for f in verify.function_entries():
-        stack = np.reshape(verify.conjugate_queries(f, rng, 5), (-1, f.dim))
-        assert_conjugates_equal(f, stack, grid, one_point=True)
-        assert_proxes_equal(f, verify.prox_queries(f, rng, 3), grid)
 
 
 def test_boundary_query_equals_reference(energy2):
@@ -219,6 +209,12 @@ def test_conjugate_stack_grid_evaluations(name, grids, ref_grids):
     calls.clear()
     ref_numeric_conjugate(counted, stack)
     assert len(calls) == ref_grids
+
+
+def test_one_dimensional_conjugate_scans_20001_points_per_round(burg):
+    counted, calls = _counting(burg, 20001)
+    numeric_conjugate(counted, np.array([-1.0]))
+    assert len(calls) == 1 + REFINE_ROUNDS
 
 
 @pytest.mark.parametrize("name", ["burg", "shannon"])

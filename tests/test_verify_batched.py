@@ -29,7 +29,7 @@ from proxgap.bounds import (
 )
 from proxgap.catalog import conjugate_function, subdifferential_operator
 from proxgap.core import INF, inner
-from proxgap.oracle import GridSpec, numeric_conjugate, numeric_prox
+from proxgap.oracle import HI, LO, POINTS_PER_AXIS, REFINE_ROUNDS, numeric_conjugate, numeric_prox
 from proxgap.verify import GAMMA_SET, SuiteResult
 
 SEEDS = range(20)
@@ -352,24 +352,22 @@ def test_fitzpatrick_kernel_rows_equal_public_calls(name):
 # ---------------------------------------------------- shared oracle grid
 
 
-def _per_query_scan(f, x_star, grid=GridSpec()):
+def _per_query_scan(f, x_star):
     """numeric_conjugate with every round, round 0 included, scanned per query."""
-    n = grid.resolve_points(f.dim)
-    lows = np.full(f.dim, grid.lo)
-    highs = np.full(f.dim, grid.hi)
+    n = POINTS_PER_AXIS[f.dim]
+    lows = np.full(f.dim, LO)
+    highs = np.full(f.dim, HI)
     best_val, best_arg = oracle._scan_box(f, x_star, lows, highs, n)
-    half_width = 0.5 * (grid.hi - grid.lo)
-    for _ in range(grid.refine_rounds):
+    half_width = 0.5 * (HI - LO)
+    for _ in range(REFINE_ROUNDS):
         half_width /= 10.0
-        lows = np.clip(best_arg - half_width, grid.lo, grid.hi)
-        highs = np.clip(best_arg + half_width, grid.lo, grid.hi)
+        lows = np.clip(best_arg - half_width, LO, HI)
+        highs = np.clip(best_arg + half_width, LO, HI)
         val, arg = oracle._scan_box(f, x_star, lows, highs, n)
         if val > best_val:
             best_val, best_arg = val, arg
-    spacing = (grid.hi - grid.lo) / (n - 1)
-    on_boundary = bool(
-        np.any(best_arg <= grid.lo + spacing) or np.any(best_arg >= grid.hi - spacing)
-    )
+    spacing = (HI - LO) / (n - 1)
+    on_boundary = bool(np.any(best_arg <= LO + spacing) or np.any(best_arg >= HI - spacing))
     return best_val, best_arg, on_boundary
 
 

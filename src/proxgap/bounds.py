@@ -10,6 +10,9 @@ C_{A,gamma}(x, x*) = ||x - J_{gamma A}(x + gamma x*)||^2 / gamma.
 
 The gap is each entry's closed form ``f.gap_kernel``, which does not
 cancel near the graph as the sum f(x) + f*(x*) - <x, x*> does.
+``bound_report`` stacks x, a, x, x*, x*, a* once: the gap kernel takes the
+first three rows against the last three, ``row_norm`` takes all six, and
+:func:`~proxgap.core.within_tolerance` decides each flag on their floats.
 
 Each public function validates its inputs once and hands the validated
 arrays to the private helpers below, which trust them.  ``_minty`` gives
@@ -25,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, inner, within_membership
+from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, inner, row_norm, within_tolerance
 
 
 def gap(f, x, x_star):
@@ -171,25 +174,26 @@ def bound_report(f, gamma, x, x_star):
     x_star = as_vector(x_star, f.dim, "x_star")
 
     z, a = _minty(f.prox, gamma, x, x_star)
-    # the gaps at (x, x*) and, for the sharpness test, at (a, x*) and (x, a*)
-    points = np.array((x, a, x))
-    duals = np.array((x_star, x_star, (z - a) / gamma))
-    gaps = f.gap_kernel(points, duals)
-    member = within_membership(gaps, points, duals)
+    # the gaps at (x, x*) and, for the sharpness test, at (a, x*) and (x, a*),
+    # and the norms of these points, from one stack
+    stack = np.array((x, a, x, x_star, x_star, (z - a) / gamma))
+    norm_x, norm_a, _, norm_xs, _, norm_as = row_norm(stack).tolist()
+    gap_x, gap_a, gap_as = f.gap_kernel(stack[:3], stack[3:]).tolist()
     fitz = f.fitzpatrick_gap
     if fitz is not None:
         # an entry whose gap is its Fitzpatrick gap (subspace) has it in row 0
-        fitz = float(gaps[0] if fitz is f.gap_kernel else fitz(x, x_star))
+        fitz = gap_x if fitz is f.gap_kernel else float(fitz(x, x_star))
 
     return BoundReport(
         x=x,
         x_star=x_star,
         gamma=gamma,
-        gap=float(gaps[0]),
+        gap=gap_x,
         fitzpatrick=fitz,
         carlier=float(_carlier(x, a, gamma)),
-        gap_zero=bool(member[0]),
-        gap_equals_carlier=bool(member[1] and member[2]),
+        gap_zero=within_tolerance(gap_x, (norm_x, norm_xs)),
+        gap_equals_carlier=within_tolerance(gap_a, (norm_a, norm_xs))
+        and within_tolerance(gap_as, (norm_x, norm_as)),
     )
 
 

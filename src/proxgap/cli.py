@@ -276,7 +276,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a norm or Carlier value past the float range is +inf, the right
+        # answer, so the CLI does not warn of it
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import numpy as np
 INF = math.inf
 
 # Absolute tolerance of every set- and graph-membership test, scaled by the
-# norms of the points tested (see membership_scale); also the chain check's slack
+# norms of the points tested (see within_tolerance); also the chain check's slack
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -27,8 +27,12 @@ def as_gamma(value, name="gamma"):
 
 
 def check_finite(stack, name):
-    """``stack`` itself when every entry is finite; otherwise ValueError naming it."""
-    if not np.isfinite(stack).all():
+    """``stack`` itself when every entry is finite; otherwise ValueError naming it.
+
+    Counts the finite entries, the verdict of ``np.isfinite(stack).all()`` at
+    about half its cost on a short vector; a sum would overflow on finite input.
+    """
+    if np.count_nonzero(np.isfinite(stack)) != stack.size:
         raise ValueError(f"{name} has non-finite entries: {stack!r}")
     return stack
 
@@ -84,24 +88,23 @@ def row_norm(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def membership_scale(*vectors):
-    """The membership tolerance scaled by the participating vector norms.
+def within_tolerance(err, norms):
+    """``err <= MEMBERSHIP_TOL * (1 + sum of norms)``: the one membership rule.
 
-    Set-membership and graph-membership tests use
-    MEMBERSHIP_TOL * (1 + sum of norms) so they stay meaningful for large inputs.
-    Row-wise over stacks, like :func:`row_norm`.
+    The tolerance scales with the norms of the points tested, so it stays
+    meaningful for large inputs.  Where the scale overflowed to +inf only
+    err == 0 is a member: a norm too large to square leaves any other error
+    undecided, and undecided is not.  It runs on Python floats (one bool)
+    and on arrays (row by row); it reads ``norms`` one at a time and scales
+    an array in place, so a lazy ``map`` keeps few norm-sized arrays alive.
     """
     scale = 1.0
-    for v in vectors:
-        scale = scale + row_norm(v)
-    return MEMBERSHIP_TOL * scale
+    for norm in norms:
+        scale = scale + norm
+    scale *= MEMBERSHIP_TOL
+    return (err <= scale) & ((scale < INF) | (err == 0.0))
 
 
 def within_membership(err, *vectors):
-    """``err <= membership_scale(*vectors)``, row by row.
-
-    Where the scale overflowed to +inf only err == 0 is a member: a norm too
-    large to square leaves any other error undecided, and undecided is not.
-    """
-    scale = membership_scale(*vectors)
-    return (err <= scale) & ((scale < INF) | (err == 0.0))
+    """:func:`within_tolerance` on the norms of points or stacks, row by row."""
+    return within_tolerance(err, map(row_norm, vectors))

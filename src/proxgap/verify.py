@@ -33,7 +33,7 @@ from .catalog import (
     make_subspace_indicator,
     subdifferential_operator,
 )
-from .core import INF, check_finite
+from .core import INF, check_finite, row_norm
 from .oracle import numeric_conjugate, numeric_prox
 
 _MAX_REPORTED = 5
@@ -246,14 +246,20 @@ def run_pair_suite(rng, slack=None):
 def conjugate_queries(f, rng, count):
     """Query points where the closed-form conjugate is finite and the
     maximizer is interior to the oracle box.  For a subspace U this is
-    the U-perp part of (0, ..., 0, u)."""
+    the U-perp part of u times the last axis or, when that axis lies in U,
+    the axis with the largest U-perp part."""
     out = []
+    if f.name == "subspace":
+        axes = np.eye(f.dim)
+        axis = f.dim - 1
+        if f.subdiff_domain.contains(axes[axis]):
+            axis = int(np.argmax(row_norm(axes - f.prox_kernel(1.0, axes))))
     for _ in range(count):
         if f.name == "energy":
             out.append(rng.uniform(-3.0, 3.0, size=f.dim))
         elif f.name == "subspace":
             q = np.zeros(f.dim)
-            q[-1] = rng.uniform(-5.0, 5.0)
+            q[axis] = rng.uniform(-5.0, 5.0)
             out.append(q - f.prox_kernel(1.0, q))
         elif f.name == "burg":
             out.append(np.array([-math.exp(rng.uniform(-2.0, 1.0))]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from proxgap.bounds import (
     pair_inequality_check,
 )
 from proxgap.catalog import subdifferential_operator
-from proxgap.core import INF
+from proxgap.core import INF, within_membership
 from proxgap.serialize import BOUND_CSV_HEADER, report_from_csv_row, report_to_csv_row
 
 X1 = np.array([1.0, 0.0])
@@ -318,9 +319,104 @@ def test_bound_report_infinite_gap_finite_carlier(burg):
     assert chain_violation(rep) is None
 
 
-def test_chain_violation_detects_tampering(energy2):
-    import dataclasses
+def _reference_members(f, gamma, x, x_star):
+    """``within_membership`` on the gap rows (x, x*), (a, x*) and (x, a*)."""
+    x, x_star = np.asarray(x, dtype=float), np.asarray(x_star, dtype=float)
+    z = x + gamma * x_star
+    a = f.prox(gamma, z)
+    points = np.array((x, a, x))
+    duals = np.array((x_star, x_star, (z - a) / gamma))
+    return within_membership(f.gap_kernel(points, duals), points, duals)
 
+
+def _straddle(spec, gamma, x, x_star, direction, row=0):
+    """x* + t direction at two adjacent floats t where gap row ``row`` is
+    just inside and just outside the membership tolerance."""
+    f = catalog.parse_spec(spec)
+    x_star, direction = np.array(x_star, dtype=float), np.array(direction, dtype=float)
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        inside = _reference_members(f, gamma, x, x_star + mid * direction)[row]
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    return [(spec, gamma, x, x_star + t * direction) for t in (lo, hi)]
+
+
+def _membership_cases():
+    """(spec, gamma, x, x*): near-graph points, errors of exactly 0 and above
+    0 at an overflowed scale (||x|| about 1e200), and errors at the scale."""
+    cases = []
+    for k in range(-12, -1):
+        eps = 10.0**k
+        cases += [
+            ("energy:dim=2", 0.5, [3.0, -4.0], [3.0 * (1.0 + eps), -4.0]),
+            ("energy:dim=64", 2.0, np.full(64, 0.25), np.full(64, 0.25 + eps)),
+            ("burg", 2.0, [3.0], [-(1.0 + eps) / 3.0]),
+            ("shannon", 0.3, [2.0], [math.log(2.0) + eps]),
+            ("subspace:dim=2:basis=1,0", 1.0, [5.0, eps], [0.0, 1.0]),
+            ("subspace:dim=2:basis=1,0", 1.0, [5.0, 0.0], [eps, 1.0]),
+        ]
+    cases += [
+        ("energy:dim=2", 1.0, [1e200, 0.0], [1e200, 0.0]),
+        ("energy:dim=2", 1.0, [1e200, 0.0], [1e200, 1.0]),
+        ("subspace:dim=2:basis=1,0", 1.0, [1e200, 0.0], [0.0, 1.0]),
+        ("subspace:dim=2:basis=1,0", 1.0, [1e200, 1e-300], [0.0, 1.0]),
+        ("shannon", 1.0, [1e306], [1.0]),
+    ]
+    cases += _straddle("energy:dim=2", 0.7, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+    cases += _straddle("burg", 0.7, [3.0], [-1.0 / 3.0], [-1.0])
+    cases += _straddle("shannon", 0.7, [2.0], [math.log(2.0)], [1.0])
+    # energy at x = 0 has a = a* = gamma x* / (1 + gamma) and ||x|| = 0: the
+    # (a, x*) row decides the sharpness test at gamma 0.5, the (x, a*) row at
+    # gamma 2, each at a scale that holds ||a|| or ||a*|| and not ||x||
+    cases += _straddle("energy:dim=2", 0.5, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], row=1)
+    cases += _straddle("energy:dim=2", 2.0, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], row=2)
+    return cases
+
+
+def test_bound_report_flags_equal_within_membership_on_the_three_rows():
+    flags = []
+    for spec, gamma, x, x_star in _membership_cases():
+        f = catalog.parse_spec(spec)
+        with np.errstate(over="ignore"):
+            rep = bound_report(f, gamma, x, x_star)
+            member = _reference_members(f, gamma, x, x_star)
+        assert rep.gap_zero is bool(member[0]), (spec, x, x_star)
+        assert rep.gap_equals_carlier is bool(member[1] and member[2]), (spec, x, x_star)
+        flags.append((rep.gap_zero, rep.gap_equals_carlier))
+    # every flag value occurs, so the comparison is not vacuous
+    assert {zero for zero, _ in flags} == {True, False}
+    assert {sharp for _, sharp in flags} == {True, False}
+
+
+def test_bound_report_flags_at_the_tolerance():
+    # adjacent floats either side of the scale flip the flag they straddle
+    f = catalog.make_energy(2)
+    inside, outside = _straddle("energy:dim=2", 0.7, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+    assert bound_report(f, 0.7, *inside[2:]).gap_zero is True
+    assert bound_report(f, 0.7, *outside[2:]).gap_zero is False
+    inside, outside = _straddle("energy:dim=2", 0.5, [0.0, 0.0], [0.0, 0.0], [1.0, 0.0], row=1)
+    assert bound_report(f, 0.5, *inside[2:]).gap_equals_carlier is True
+    assert bound_report(f, 0.5, *outside[2:]).gap_equals_carlier is False
+    # an exact member at an overflowed scale; any other error there is not
+    with np.errstate(over="ignore"):
+        assert bound_report(f, 1.0, [1e200, 0.0], [1e200, 0.0]).gap_zero is True
+        assert bound_report(f, 1.0, [1e200, 0.0], [1e200, 1.0]).gap_zero is False
+
+
+def test_bound_report_and_duality_call_the_public_prox():
+    # the route of a fault planted in ``prox``: both bounds must see it
+    f = catalog.make_energy(2)
+    bad = dataclasses.replace(f, prox=lambda gamma, z: f.prox(gamma, z) * (1.0 + 1e-6))
+    x, x_star, gamma = [1.0, -2.0], [0.5, 3.0], 0.7
+    assert bound_report(bad, gamma, x, x_star).carlier != bound_report(f, gamma, x, x_star).carlier
+    lhs, rhs = dual_carlier_check(subdifferential_operator(f), gamma, x, x_star)
+    bad_lhs, bad_rhs = dual_carlier_check(subdifferential_operator(bad), gamma, x, x_star)
+    assert bad_lhs != lhs
+    assert bad_rhs == rhs
+
+
+def test_chain_violation_detects_tampering(energy2):
     rep = bound_report(energy2, 1.0, X1, XSTAR1)
     bad = dataclasses.replace(rep, carlier=rep.gap + 1.0)
     assert chain_violation(bad) is not None

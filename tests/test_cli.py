@@ -101,8 +101,9 @@ def test_eval_flag_overrides_env(capsys, tmp_path, monkeypatch):
 
 
 # norms past about 1.3e154 overflow when squared; membership must then
-# say no instead of comparing against a +inf tolerance
-@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+# say no instead of comparing against a +inf tolerance, and the +inf norm
+# must not warn
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "spec, x, xstar",
     [
@@ -111,18 +112,18 @@ def test_eval_flag_overrides_env(capsys, tmp_path, monkeypatch):
     ],
 )
 def test_eval_overflowed_membership_scale_is_not_membership(capsys, spec, x, xstar):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "eval", "--spec", spec, "--x", x, "--xstar", xstar, "--gamma", "1"
     )
     assert code == 0
+    assert err == ""
     rep = report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
     assert rep.gap == math.inf
     assert not rep.gap_zero and not rep.gap_equals_carlier
 
 
-# s * s overflows in the Burg prox at z = x + gamma x* = 1e300; the row
-# norm's vecdot overflow is a separate matter
-@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+# s * s overflows in the Burg prox at z = x + gamma x* = 1e300; neither it
+# nor the +inf row norm warns
 @pytest.mark.filterwarnings("error")
 def test_eval_burg_prox_past_the_square_overflow(capsys):
     code, out, err = run_cli(
@@ -133,9 +134,8 @@ def test_eval_burg_prox_past_the_square_overflow(capsys):
     assert out.splitlines()[1] == "1e+300,-1.0,1.0,1e+300,,0.0,false,false"
 
 
-# a gap or prox that overflows to +inf is the right answer and must not warn;
-# the row norm's vecdot overflow is a separate matter
-@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot")
+# a gap, prox, row norm or Carlier value that overflows to +inf is the right
+# answer and must not warn
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "spec, x, xstar, row",
@@ -161,11 +161,11 @@ def _eval(capsys, spec, x, xstar):
 
 
 # an error of exactly 0 is membership at every scale, also where the norm of
-# x = (1e200, 0) overflows when squared
-@pytest.mark.filterwarnings("ignore:overflow encountered in vecdot:RuntimeWarning")
+# x = (1e200, 0) overflows when squared, which does not warn
+@pytest.mark.filterwarnings("error")
 def test_eval_exact_member_past_the_norm_overflow(capsys):
-    code, rep, _ = _eval(capsys, "subspace:dim=2:basis=1,0", "1e200,0", "0,1")
-    assert code == 0
+    code, rep, err = _eval(capsys, "subspace:dim=2:basis=1,0", "1e200,0", "0,1")
+    assert code == 0 and err == ""
     assert (rep.gap, rep.fitzpatrick, rep.carlier) == (0.0, 0.0, 0.0)
     assert rep.gap_zero and rep.gap_equals_carlier
 
@@ -450,6 +450,20 @@ def test_oracle_compare_subspace_queries_have_finite_conjugates(capsys):
     assert len(lines) == 3
     for line in lines:
         assert math.isfinite(float(line.split("closed=")[1].split()[0]))
+
+
+def test_oracle_compare_subspace_queries_leave_an_axis_in_u(capsys):
+    # the last axis lies in U = span{(0, 1)}, so the draws go along (1, 0),
+    # the axis with the largest U-perp part, not to its U-perp part 0
+    code, out, _ = run_cli(capsys, "oracle-compare", "--spec", AXIS_SUBSPACE, "--count", "3")
+    assert code == 0
+    points = [
+        json.loads(line.split("x_star=")[1].split(":")[0])
+        for line in out.splitlines()
+        if line.startswith("conjugate ")
+    ]
+    assert len(points) == 3 and len({tuple(p) for p in points}) == 3
+    assert all(p[0] != 0.0 and p[1] == 0.0 for p in points)
 
 
 def _unprojected_queries(f, rng, count):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from proxgap.core import (
     MEMBERSHIP_TOL,
@@ -11,10 +12,10 @@ from proxgap.core import (
     as_vector,
     check_finite,
     inner,
-    membership_scale,
     parse_vector,
     row_norm,
     within_membership,
+    within_tolerance,
 )
 
 
@@ -59,11 +60,13 @@ def test_as_vector_coerces_and_checks():
 
 
 def test_membership_scale_grows_with_inputs():
-    small = membership_scale(np.zeros(2))
-    big = membership_scale(np.full(2, 100.0))
-    assert small == MEMBERSHIP_TOL
-    assert big > small
-    assert math.isclose(big, MEMBERSHIP_TOL * (1.0 + math.hypot(100.0, 100.0)))
+    # the largest accepted error is MEMBERSHIP_TOL * (1 + sum of norms)
+    big = MEMBERSHIP_TOL * (1.0 + math.hypot(100.0, 100.0))
+    for err, norms in ((MEMBERSHIP_TOL, (0.0,)), (big, (0.0, math.hypot(100.0, 100.0)))):
+        assert within_tolerance(err, norms) is True
+        assert within_tolerance(math.nextafter(err, math.inf), norms) is False
+    assert within_membership(big, np.zeros(2), np.full(2, 100.0))
+    assert not within_membership(math.nextafter(big, math.inf), np.zeros(2), np.full(2, 100.0))
 
 
 def test_row_norm_has_the_bits_of_linalg_norm():
@@ -85,6 +88,9 @@ def test_membership_rejects_an_overflowed_scale():
     err = np.array([1e-300, 1e-300, 0.0])
     rows = within_membership(err, np.array([[1e150, 0.0], [1e200, 0.0], [1e200, 0.0]]))
     assert rows.tolist() == [True, False, True]
+    # the same rule on Python floats, with the norm already +inf
+    assert within_tolerance(0.0, [math.inf]) is True
+    assert within_tolerance(1e-300, [math.inf]) is False
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -105,6 +111,42 @@ def test_check_finite_names_the_stack():
     stack[1, 2] = math.inf
     with pytest.raises(ValueError, match="^z has non-finite entries"):
         check_finite(stack, "z")
+
+
+# 1e308 pairs overflow a sum although every entry is finite
+STACKS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+    elements=st.one_of(
+        st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]), st.floats()
+    ),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@example(np.array([1e308, 1e308]))
+@example(np.full((2, 2), -1e308))
+@example(np.zeros(0))
+@example(np.zeros((0, 3)))
+@example(np.array([[1.0, math.nan], [math.inf, -math.inf]]))
+@given(STACKS)
+def test_check_finite_and_as_vector_agree_with_isfinite_all(stack):
+    finite = bool(np.isfinite(stack).all())
+    if finite:
+        assert check_finite(stack, "z") is stack
+    else:
+        with pytest.raises(ValueError) as info:
+            check_finite(stack, "z")
+        assert str(info.value) == f"z has non-finite entries: {stack!r}"
+    if stack.ndim != 1 or stack.size == 0:
+        with pytest.raises(ValueError, match="^v must be a 1-D sequence with at least one entry$"):
+            as_vector(stack, None, "v")
+    elif finite:
+        assert as_vector(stack.tolist(), stack.size, "v").tolist() == stack.tolist()
+    else:
+        with pytest.raises(ValueError) as info:
+            as_vector(stack.tolist(), stack.size, "v")
+        assert str(info.value) == f"v has non-finite entries: {stack!r}"
 
 
 def test_parse_vector():

@@ -24,6 +24,11 @@ conjugate prox and resolvent kernels ``kernel(gamma, z)`` take a float
 positive floats for a stack; the result has the shape of ``z``.  Kernels
 validate nothing and do not check that their output is finite; the one
 exception is the rescaled point of the flipped kernels (:func:`_flipped`).
+Burg's and Shannon's proxes and gaps are formulas on Python floats
+(:func:`_elementwise`): one point at a float gamma calls the formula
+directly and raises no warning, while a stack goes through
+``np.frompyfunc``, which raises numpy's floating-point warnings where the
+formula overflows (the gap kernels silence them).
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
 and ``resolvent`` are the kernels behind one ``as_vector`` call (see
 :func:`_evaluated` and :func:`_validated`); code that holds validated
@@ -100,11 +105,18 @@ def _elementwise(scalar_map):
 
     Each element goes through ``scalar_map(gamma, s)`` unchanged, which
     keeps ``math``'s results bit for bit and costs less per point than a
-    chain of numpy calls on one-element arrays.
+    chain of numpy calls on one-element arrays.  One point at a float
+    gamma calls ``scalar_map`` directly; a stack goes through
+    ``np.frompyfunc``.  Both hand it Python floats, so the bits agree, but
+    only the stack path reads the FP status after the loop and raises
+    numpy's warnings (an overflow inside ``scalar_map`` warns there); the
+    one-point path raises none.
     """
     ufunc = np.frompyfunc(scalar_map, 2, 1)
 
     def kernel(gamma, z):
+        if z.shape == (1,) and type(gamma) is float:
+            return np.array([scalar_map(gamma, z.item())])
         return ufunc(gamma, z).astype(float)
 
     return kernel
@@ -115,6 +127,8 @@ def _elementwise_gap(scalar_gap):
     ufunc = _elementwise(scalar_gap)
 
     def kernel(x, x_star):
+        if x.shape == (1,) and x_star.shape == (1,):
+            return np.float64(scalar_gap(x.item(), x_star.item()))
         with np.errstate(over="ignore"):
             return ufunc(x, x_star)[..., 0][()]
 
@@ -383,8 +397,9 @@ def make_subspace_indicator(basis):
     dim = Q.shape[1]
 
     def project(z):
-        # rows of z are points, so one call projects a whole stack
-        return (z @ Q.T) @ Q
+        # rows of z are points, so one call projects a whole stack; np.dot makes
+        # the BLAS calls of @ with less overhead per call
+        return np.dot(np.dot(z, Q.T), Q)
 
     def within_tol(d, z):
         # ||d|| <= MEMBERSHIP_TOL*(1 + ||z||) row by row
@@ -408,8 +423,14 @@ def make_subspace_indicator(basis):
     def conjugate_prox_kernel(sigma, w):
         return w - project(w)
 
+    # in_U(x) & in_Uperp(x_star) on one stack: rows x - P x and P x*, each
+    # measured against its own point's norm
     def fitz_gap(x, x_star):
-        return np.where(in_U(x) & in_Uperp(x_star), 0.0, INF)[()]
+        z = np.array((x, x_star))
+        resid = project(z.reshape(-1, dim)).reshape(z.shape)
+        np.subtract(z[0], resid[0], out=resid[0])
+        member = within_membership(row_norm(resid), z)
+        return np.where(member[0] & member[1], 0.0, INF)[()]
 
     member_U = SetSpec(contains=in_U, closure_contains=in_U)
     member_Uperp = SetSpec(contains=in_Uperp, closure_contains=in_Uperp)
@@ -616,10 +637,13 @@ def make_rotator():
 
     def resolvent(gamma, z):
         # one point at a float gamma: Python floats, which do not warn, tell whether
-        # gamma * gamma and gamma * z stay finite, 3x faster than the errstate path
+        # gamma * gamma and gamma * z stay finite, and then give plain's two
+        # coordinates in its order of operations
         if isinstance(gamma, float) and z.ndim == 1:
-            if abs(gamma) * max(abs(gamma), *map(abs, z.tolist())) < INF:
-                return plain(gamma, z)
+            z1, z2 = z.tolist()
+            if abs(gamma) * max(abs(gamma), abs(z1), abs(z2)) < INF:
+                d = 1.0 + gamma * gamma
+                return np.array([(z1 + z2 * gamma) / d, (z2 + z1 * -gamma) / d])
         with np.errstate(over="ignore", invalid="ignore"):
             out = plain(gamma, z)
             lost = ~np.isfinite(out).all(axis=-1, keepdims=True) | ~np.isfinite(gamma * gamma)

@@ -23,7 +23,11 @@ from .core import as_gamma, as_pairs, as_vector, inner
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Step sizes for the cyclic recursion: one constant or an explicit list."""
+    """Step sizes for the cyclic recursion: one constant or an explicit list.
+
+    Each step size is stored as a positive finite Python float, whatever
+    number type it was given as, so ``resolve`` always returns float64.
+    """
 
     constant: Optional[float] = None
     values: Optional[Tuple[float, ...]] = None
@@ -31,18 +35,21 @@ class GammaSchedule:
     def __post_init__(self):
         if (self.constant is None) == (self.values is None):
             raise ValueError("provide exactly one of constant= or values=")
-        for g in (self.constant,) if self.values is None else self.values:
-            as_gamma(g)
-        if self.values is not None and len(self.values) == 0:
+        if self.values is None:
+            object.__setattr__(self, "constant", as_gamma(self.constant))
+            return
+        values = tuple(map(as_gamma, self.values))
+        if not values:
             raise ValueError("values must be non-empty")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def const(cls, gamma):
-        return cls(constant=float(gamma))
+        return cls(constant=gamma)
 
     @classmethod
     def from_values(cls, seq):
-        return cls(values=tuple(float(g) for g in seq))
+        return cls(values=seq)
 
     def resolve(self, n):
         if n < 1:
@@ -82,9 +89,12 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
 
     Term k is ||x - a_k||^2 / gamma_k; term 1 coincides with the Carlier
     bound C_{A,gamma_1}(x, x*) by construction.  Each step is a pure
-    function of (a_{k-1}*, gamma_k), so under a constant schedule a step
-    that returns a_{k-1}* unchanged, bit for bit, is a fixed point: the
-    remaining rows repeat it and are filled in without further steps.
+    function of (a_{k-1}*, gamma_k), so under a constant schedule the chain
+    is periodic as soon as a step returns an earlier a* bit for bit.  A
+    step that returns a_{k-1}* is a fixed point, and the remaining rows
+    repeat row k; one that returns a_{k-2}* closes a 2-cycle, and the
+    remaining rows alternate rows k - 1 and k.  Either way they are filled
+    in without further steps.  A ``values=`` schedule never stops early.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
@@ -95,17 +105,27 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     a = np.empty((n_terms, A.dim))
     a_star = np.empty((n_terms, A.dim))
     prev = x_star
+    # raw bytes of the last two a*, so that -0.0 and 0.0 count as different
+    last, before = prev.tobytes(), None
     for k, gamma in enumerate(gammas.tolist()):
         z = x + gamma * prev
         ak = resolvent(gamma, z)
         sk = (z - ak) / gamma
         a[k] = ak
         a_star[k] = sk
-        # raw bytes, so that -0.0 and 0.0 count as different
-        if constant and sk.tobytes() == prev.tobytes():
-            a[k + 1:] = ak
-            a_star[k + 1:] = sk
-            break
+        if constant:
+            key = sk.tobytes()
+            if key == last:
+                a[k + 1:] = ak
+                a_star[k + 1:] = sk
+                break
+            if key == before:
+                a[k + 1::2] = a[k - 1]
+                a_star[k + 1::2] = a_star[k - 1]
+                a[k + 2::2] = ak
+                a_star[k + 2::2] = sk
+                break
+            last, before = key, last
         prev = sk
     # A non-finite z_k makes a_k* non-finite and a non-finite a_k* makes
     # z_{k+1} non-finite, so this is the finiteness check of every z_k.

@@ -42,6 +42,27 @@ def test_schedule_resolve():
         GammaSchedule.from_values([1.0, 2.0]).resolve(5)
 
 
+def test_schedule_step_sizes_are_floats():
+    # ints, bools and numpy scalars are stored as the floats they stand for
+    schedules = (
+        GammaSchedule(constant=2),
+        GammaSchedule(constant=True),
+        GammaSchedule.const(np.int64(2)),
+        GammaSchedule(values=(1, np.float32(0.5))),
+        GammaSchedule.from_values(np.array([1, 2])),
+    )
+    for schedule in schedules:
+        stored = (schedule.constant,) if schedule.values is None else schedule.values
+        assert all(type(g) is float for g in stored)
+        assert schedule.resolve(2).dtype == np.float64
+    A = subdifferential_operator(make_energy(2))
+    series = [
+        series_csv_rows(generate_cyclic_sequence(A, [1.0, 2.0], [0.5, -1.0], schedule, 5))
+        for schedule in (GammaSchedule(constant=2), GammaSchedule.const(2.0))
+    ]
+    assert series[0] == series[1]
+
+
 # -------------------------------------------------------------- sequence
 
 

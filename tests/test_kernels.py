@@ -5,9 +5,11 @@ the public call on point i bit for bit, for every catalog function and its
 conjugate.  Row i of a prox or resolvent kernel call must match the public
 call to within 4 ulp, for every catalog entry and every derived path: the
 closed-form inverse, the generic resolvent flip and the Moreau
-conjugate-prox fallback.  The drivers built on the kernels (gamma sweeps
-and the cyclic series) are checked against plain loops over the public
-API.
+conjugate-prox fallback.  A one-point call of a resolvent or gap kernel
+must equal a stack of one bit for bit, and raise no warning.  The drivers
+built on the kernels (gamma sweeps and the cyclic series, including its
+stops at a fixed point or a 2-cycle) are checked against plain loops over
+the public API.
 """
 
 import dataclasses
@@ -147,6 +149,82 @@ def test_prox_kernels_rows_match_public_calls(name, rng):
             assert_within_ulps(kernel(gammas[:, None], z), want)
 
 
+def _one_point_rows(name, rng):
+    """_points, and the edge rows of the function an operator path comes from."""
+    op = OPERATORS[name]
+    base = FUNCTIONS.get(name.split("/")[0])
+    edges = np.empty((0, op.dim)) if base is None else _edge_rows(base())
+    return np.vstack([_points(rng, op.dim), edges])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_one_point_resolvent_equals_a_stack_of_one(name, rng):
+    # the operators' resolvent kernels are every prox and conjugate prox
+    # kernel: closed forms, resolvent flips and Moreau fallbacks
+    kernel = OPERATORS[name].resolvent_kernel
+    z = _one_point_rows(name, rng)
+    g = _gammas(rng, len(z))
+    for i in range(len(z)):
+        # a stack goes through numpy's FP status checks; one point raises no warning
+        with np.errstate(all="ignore"):
+            want = kernel(g[i:i + 1, None], z[i:i + 1])[0]
+        got = kernel(float(g[i]), z[i])
+        assert got.tobytes() == want.tobytes(), (i, g[i], z[i])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_one_point_gap_equals_a_stack_of_one(name, rng):
+    f = FUNCTIONS[name]()
+    x = np.vstack([_points(rng, f.dim), _edge_rows(f)])
+    pairs = [(x, rng.permutation(x))]
+    if f.gradient is not None:
+        # near the graph, where the entropies take their series branches
+        inside = _points(rng, f.dim)
+        inside = np.abs(inside) if f.dim == 1 else inside
+        near = np.array([f.gradient(row) for row in inside])
+        pairs.append((inside, near * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, near.shape))))
+    for x, x_star in pairs:
+        for u, v in ((x, x_star), (x_star, x)):
+            for i in range(len(u)):
+                with np.errstate(all="ignore"):
+                    want = f.gap_kernel(u[i:i + 1], v[i:i + 1])[0]
+                got = f.gap_kernel(u[i], v[i])
+                assert type(got) is np.float64
+                assert got.tobytes() == want.tobytes(), (i, u[i], v[i])
+
+
+def test_subspace_gap_is_the_sum_of_its_indicators(rng):
+    # x in U and x* in U-perp, each within the tolerance of its own norm
+    f = FUNCTIONS["subspace"]()
+    edges = _edge_rows(f)
+    x = np.repeat(edges, len(edges), axis=0)
+    x_star = np.tile(edges, (len(edges), 1))
+    want = f.value_kernel(x) + f.conjugate_kernel(x_star)
+    assert (want == 0.0).any() and (want == np.inf).any()
+    assert f.gap_kernel(x, x_star).tobytes() == want.tobytes()
+    assert [f.gap_kernel(u, v) for u, v in zip(x, x_star)] == want.tolist()
+
+
+BASES = [
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+    [[1.0, 2.0, 3.0]],
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+]
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_subspace_projector_equals_matmul(basis, rng):
+    # np.dot makes the BLAS calls of @: the same bits, for points and stacks
+    f = catalog.make_subspace_indicator(basis)
+    Q = catalog.orthonormal_basis(basis)
+    z = _points(rng, f.dim, 500)
+    assert f.prox_kernel(1.0, z).tobytes() == ((z @ Q.T) @ Q).tobytes()
+    for row in z:
+        assert f.prox_kernel(1.0, row).tobytes() == ((row @ Q.T) @ Q).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 def test_gamma_sweep_matches_carlier_loop(name, rng):
     op = OPERATORS[name]
@@ -178,11 +256,33 @@ def _assert_same_series(seq, points, terms):
         assert a_star.tobytes() == want_a_star.tobytes()
 
 
+# (x, x*, gamma) of the sweeps benchmark's tasks on seeds 1-3 whose recursion
+# ends in a 2-cycle under a constant schedule
+TWO_CYCLES = {
+    "burg": [
+        (679623.5514768796, -2.706614734409087, 0.002414579417239972),
+        (685745.0367301084, -1.456339848188516e-06, 1.7134619951990313),
+        (1441.772922153891, -30958.844877057476, 3.4034930614513456e-06),
+        (228837.06378623316, -4.369921351246163e-06, 65220.95470025571),
+        (408.97926815455577, -0.0024447533118283926, 7417.9185741740275),
+        (56534431.73858685, -2.5114813639105975, 4252800.02047402),
+    ],
+    "shannon": [
+        (2302877.7778091766, 9264881.31856487, 0.5893658866933558),
+        (57137.44928346627, -192126.65244849387, 1.2216788949553085e-08),
+        (3261261.2000463847, 14.997624550191684, 111.32228078719372),
+        (1065517.7634560887, -39.14707071194873, 0.0029295489001004006),
+    ],
+}
+
+
 @pytest.mark.parametrize("name", sorted(OPERATORS))
 def test_series_is_bit_identical_to_plain_loop(name, rng):
     op = OPERATORS[name]
     n = 300
-    for x, x_star, gamma in zip(_points(rng, op.dim, 4), _points(rng, op.dim, 4), _gammas(rng, 4)):
+    inputs = list(zip(_points(rng, op.dim, 4), _points(rng, op.dim, 4), _gammas(rng, 4)))
+    inputs += [(np.array([x]), np.array([x_star]), g) for x, x_star, g in TWO_CYCLES.get(name, ())]
+    for x, x_star, gamma in inputs:
         for schedule in (GammaSchedule.const(gamma), GammaSchedule.from_values(_gammas(rng, n))):
             seq = generate_cyclic_sequence(op, x, x_star, schedule, n)
             _assert_same_series(seq, *_plain_series(op, x, x_star, schedule.resolve(n)))
@@ -204,6 +304,43 @@ def test_series_stops_at_its_fixed_point(energy2, rng):
     seq = generate_cyclic_sequence(counting, x, x, schedule, 50)
     assert len(calls) == 1
     _assert_same_series(seq, *_plain_series(op, x, x, schedule.resolve(50)))
+    # the same step sizes listed take every step
+    calls.clear()
+    seq = generate_cyclic_sequence(counting, x, x, GammaSchedule.from_values([1.0] * 50), 50)
+    assert len(calls) == 50
+    _assert_same_series(seq, *_plain_series(op, x, x, schedule.resolve(50)))
+
+
+def test_series_stops_at_a_two_cycle(burg):
+    # on this sweeps task a_3* equals a_1* bit for bit, and a_2* differs, so
+    # three resolvent calls fill all the rows; started from a_1*, the chain
+    # returns to its start, x*, at the second step
+    calls = []
+    op = subdifferential_operator(burg)
+
+    def kernel(gamma, z):
+        calls.append(gamma)
+        return op.resolvent_kernel(gamma, z)
+
+    counting = dataclasses.replace(op, resolvent_kernel=kernel)
+    x, x_star, gamma = TWO_CYCLES["burg"][1]
+    x = np.array([x])
+    schedule = GammaSchedule.const(gamma)
+    seq = generate_cyclic_sequence(counting, x, [x_star], schedule, 51)
+    assert len(calls) == 3
+    assert seq.a_star[2].tobytes() == seq.a_star[0].tobytes() != seq.a_star[1].tobytes()
+    _assert_same_series(seq, *_plain_series(op, x, [x_star], schedule.resolve(51)))
+    calls.clear()
+    start = seq.a_star[0]
+    again = generate_cyclic_sequence(counting, x, start, schedule, 50)
+    assert len(calls) == 2
+    _assert_same_series(again, *_plain_series(op, x, start, schedule.resolve(50)))
+    # a values= schedule never stops early
+    calls.clear()
+    listed_schedule = GammaSchedule.from_values([gamma] * 51)
+    listed = generate_cyclic_sequence(counting, x, [x_star], listed_schedule, 51)
+    assert len(calls) == 51
+    _assert_same_series(listed, *_plain_series(op, x, [x_star], schedule.resolve(51)))
 
 
 def test_sweep_raises_on_non_finite_z(energy2):

@@ -23,7 +23,7 @@ from .lambertw import lambert_w_exp
 
 CONVERGE_RANGE_TOL = 1e-6
 DIVERGE_THRESHOLD = 1e9
-_WINDOW = 5
+WINDOW = 5
 
 KIND_CONVERGES = "converges"
 KIND_DIVERGES = "diverges"
@@ -44,7 +44,7 @@ class LimitClass:
 
 def _classify_window(values_toward_limit):
     """Classify from sweep values ordered nearest-the-limit first."""
-    window = np.asarray(values_toward_limit[:_WINDOW], dtype=float)
+    window = np.asarray(values_toward_limit[:WINDOW], dtype=float)
     v = float(window[0])
     if float(np.max(window) - np.min(window)) < CONVERGE_RANGE_TOL * (1.0 + abs(v)):
         return LimitClass(KIND_CONVERGES, v)
@@ -77,8 +77,8 @@ def gamma_sweep(A, x, x_star, lo=1e-6, hi=1e6, count=49):
     """
     if not (0.0 < lo < hi < math.inf):
         raise ValueError(f"need 0 < lo < hi < inf, got [{lo}, {hi}]")
-    if count < _WINDOW:
-        raise ValueError(f"count must be at least {_WINDOW}, got {count}")
+    if count < WINDOW:
+        raise ValueError(f"count must be at least {WINDOW}, got {count}")
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
 

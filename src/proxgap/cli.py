@@ -14,12 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
-from . import bounds
+# each subcommand imports the other modules it calls, so a run loads only those
 from . import catalog
-from . import cyclic
-from . import serialize
-from . import verify as verify_mod
 from .core import INF, MEMBERSHIP_TOL, as_gamma, parse_vector
 
 ENV_OUTPUT_DIR = "PROXGAP_OUTPUT_DIR"
@@ -51,6 +47,8 @@ def _resolve_out(out_arg, default_name):
 
 
 def run_eval(args):
+    from . import bounds, serialize
+
     entry = _function_entry(args.spec)
     x = parse_vector(args.x, "--x")
     x_star = parse_vector(args.xstar, "--xstar")
@@ -73,6 +71,8 @@ def run_eval(args):
 
 
 def run_sweep(args):
+    from . import analysis, serialize
+
     entry = catalog.parse_spec(args.spec)
     A = catalog.as_operator(entry)
     x = parse_vector(args.x, "--x")
@@ -86,6 +86,8 @@ def run_sweep(args):
 
     lo = as_gamma(args.gamma_lo, "--gamma-lo")
     hi = as_gamma(args.gamma_hi, "--gamma-hi")
+    if args.count < analysis.WINDOW:
+        raise CliError(f"--count must be >= {analysis.WINDOW}, got {args.count!r}")
     result = analysis.gamma_sweep(A, x, x_star, lo=lo, hi=hi, count=args.count)
 
     text = serialize.csv_text(serialize.SWEEP_CSV_HEADER, serialize.sweep_csv_rows(result))
@@ -100,12 +102,14 @@ def run_sweep(args):
 
 
 def run_series(args):
+    from . import bounds, cyclic, serialize
+
     entry = catalog.parse_spec(args.spec)
     A = catalog.as_operator(entry)
     x = parse_vector(args.x, "--x")
     x_star = parse_vector(args.xstar, "--xstar")
 
-    if args.gammas:
+    if args.gammas is not None:
         gammas = [as_gamma(g, "--gammas") for g in parse_vector(args.gammas, "--gammas")]
         schedule = cyclic.GammaSchedule.from_values(gammas)
     else:
@@ -134,7 +138,10 @@ def run_series(args):
 
 
 def run_verify(args):
-    results = verify_mod.run_all(seed=args.seed, slack=args.slack)
+    from . import verify
+
+    verify.check_slack(args.slack, "--slack")
+    results = verify.run_all(seed=args.seed, slack=args.slack)
     all_ok = True
     for suite in results:
         print(f"{suite.name}: {suite.passed} passed, {suite.failed} failed")
@@ -152,11 +159,13 @@ def _worst(deltas):
 
 
 def run_oracle_compare(args):
+    from . import verify
+
     entry = _function_entry(args.spec)
     if args.count < 0:
         raise CliError(f"--count must be >= 0, got {args.count!r}")
     rng = np.random.default_rng(args.seed)
-    conj, proxes = verify_mod.oracle_comparison(entry, rng, args.count)
+    conj, proxes = verify.oracle_comparison(entry, rng, args.count)
 
     for x_star, closed, est, _ in conj:
         delta = abs(est.value - closed)
@@ -181,6 +190,8 @@ def run_oracle_compare(args):
 
 
 def run_pgm(args):
+    from . import analysis, serialize
+
     step = as_gamma(args.step, "--step")
     gamma = as_gamma(args.gamma, "--gamma")
     if args.iters < 1:

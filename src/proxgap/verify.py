@@ -3,7 +3,8 @@
 Each suite hammers one contract (chain ordering, duality, Minty
 identities, the pair inequality, oracle agreement) on reproducible
 random inputs.  ``slack`` overrides every per-check tolerance at once;
-passing 0.0 is the supported way to prove the suites can fail.
+it must be finite and >= 0, and passing 0.0 is the supported way to
+prove the suites can fail.
 
 The suites evaluate stacks.  Each catalog entry draws all of its inputs
 as one block, in the order a loop over single points would draw them,
@@ -72,6 +73,13 @@ class SuiteResult:
 
 def _pick(slack, default):
     return default if slack is None else slack
+
+
+def check_slack(slack, name="slack"):
+    """Raise unless ``slack`` is None or a finite float >= 0: a NaN,
+    negative or infinite slack would fail or pass every check."""
+    if slack is not None and not 0.0 <= slack < INF:
+        raise ValueError(f"{name} must be finite and >= 0, got {slack!r}")
 
 
 def function_entries():
@@ -279,6 +287,7 @@ def oracle_comparison(f, rng, count, slack=None):
     max-norm error, ok).  A conjugate is ok when the oracle's incumbent is
     off the box boundary and |oracle - closed| <= slack * (1 + |closed|),
     a prox when its error is <= slack; ``slack`` overrides both defaults."""
+    check_slack(slack)
     s_conj = _pick(slack, ORACLE_CONJUGATE_SLACK)
     s_prox = _pick(slack, ORACLE_PROX_SLACK)
     queries = conjugate_queries(f, rng, count)
@@ -322,6 +331,7 @@ def run_oracle_suite(rng, slack=None):
 
 
 def run_all(seed=42, slack=None):
+    check_slack(slack)
     rng = np.random.default_rng(seed)
     return [
         run_chain_suite(rng, slack),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from proxgap import catalog, oracle, verify
+from proxgap import analysis, catalog, oracle, verify
 from proxgap.serialize import report_from_csv_row
 from proxgap.cli import main
 
@@ -261,6 +261,18 @@ def test_eval_usage_errors_exit_1(capsys, argv, fragment):
             ["series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--n-terms", "0"],
             "--n-terms must be >= 1, got 0",
         ),
+        # an empty schedule is a bad --gammas, not an absent one
+        (
+            ["series", "--spec", "burg", "--x", "1", "--xstar", "-1", "--gammas", ""],
+            "bad --gammas ''",
+        ),
+        (
+            ["sweep", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--count", "3"],
+            "--count must be >= 5, got 3",
+        ),
+        (["verify", "--slack", "nan"], "--slack must be finite and >= 0, got nan"),
+        (["verify", "--slack", "-1"], "--slack must be finite and >= 0, got -1.0"),
+        (["verify", "--slack", "inf"], "--slack must be finite and >= 0, got inf"),
     ],
 )
 def test_gamma_and_step_flags_reject_non_finite_exit_1(capsys, argv, fragment):
@@ -399,6 +411,20 @@ def test_verify_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--seed", "42")
     _, second, _ = run_cli(capsys, "verify", "--seed", "42")
     assert first == second
+
+
+@pytest.mark.parametrize("slack", [math.nan, -1.0, -1e-300, math.inf])
+def test_verify_library_rejects_bad_slack(energy2, slack):
+    with pytest.raises(ValueError, match="slack must be finite and >= 0"):
+        verify.run_all(seed=1, slack=slack)
+    with pytest.raises(ValueError, match="slack must be finite and >= 0"):
+        verify.oracle_comparison(energy2, np.random.default_rng(0), 1, slack)
+
+
+def test_sweep_library_still_rejects_short_grid():
+    op = catalog.subdifferential_operator(catalog.make_energy(2))
+    with pytest.raises(ValueError, match="count must be at least 5, got 3"):
+        analysis.gamma_sweep(op, [1.0, 0.0], [0.0, 1.0], count=3)
 
 
 def test_verify_zero_slack_negative_control(capsys):

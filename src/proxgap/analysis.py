@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bounds import bregman_distance, carlier_bound
+from .bounds import _carlier, bregman_distance, carlier_bound
 from .catalog import make_burg, make_shannon, subdifferential_operator
 from .core import as_gamma, as_vector
 from .lambertw import lambert_w_exp
@@ -89,8 +89,7 @@ def gamma_sweep(A, x, x_star, lo=1e-6, hi=1e6, count=49):
     if not finite.all():
         bad = float(gammas[~finite][0])
         raise ValueError(f"z = x + gamma*x_star has non-finite entries at gamma = {bad!r}")
-    d = x - A.resolvent_kernel(column, z)
-    values = np.vecdot(d, d) / gammas
+    values = _carlier(x, A.resolvent_kernel(column, z), column)
     idx = int(np.argmax(values))
 
     return SweepResult(
@@ -255,10 +254,6 @@ class PgmTrace:
     carlier_certs: np.ndarray
     bregman_refs: np.ndarray
     partial_sums: np.ndarray
-
-    @property
-    def distances(self):
-        return np.array([float(np.linalg.norm(y - self.x_ref)) for y in self.iterates])
 
 
 _DIVERGE_NORM = 1e12

@@ -1,10 +1,11 @@
 """Catalog of convex functions and maximally monotone operators.
 
-Every entry ships closed forms for its value, conjugate, and prox (for
-operators: resolvent), plus domain/range predicates.  Entries are plain
-frozen records of callables; nothing here ever falls back to numerics,
-the numeric routes live in :mod:`proxgap.oracle` and exist only to check
-these formulas.
+An entry declares only kernels and sets: closed forms for its value,
+conjugate, gap and prox (for operators: resolvent), plus domain/range
+predicates.  The frozen records derive every public map from them, and
+the Moreau conjugate prox where no closed form is given.  Nothing here
+falls back to numerics; the numeric routes live in :mod:`proxgap.oracle`
+and exist only to check these formulas.
 
 Prox convention: prox_{gamma f}(z) is the minimizer of
 0.5*||p - z||^2 + gamma*f(p), equivalently the resolvent J_{gamma df}(z).
@@ -45,7 +46,7 @@ from the conjugate); its default kernel is the resolvent flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -149,6 +150,14 @@ def _flipped(kernel):
     return flipped
 
 
+def _derive(record, public, wrap, name):
+    """Set the public map ``public`` of a record, when None, to
+    ``wrap(<public>_kernel, dim, name)``."""
+    if getattr(record, public) is None:
+        kernel = getattr(record, public + "_kernel")
+        object.__setattr__(record, public, wrap(kernel, record.dim, name))
+
+
 def _swapped(pair_map):
     """(u, u*) -> pair_map(u*, u), or None for None: the graph test or
     Fitzpatrick gap of an inverse (or a conjugate) from the entry's."""
@@ -159,51 +168,60 @@ def _swapped(pair_map):
 
 @dataclass(frozen=True)
 class ConvexFunction:
-    """A proper lsc convex function with closed-form companions.
+    """A proper lsc convex function, declared by its kernels and sets.
 
-    ``value`` and ``conjugate`` map a vector to an extended real (float,
-    +inf allowed); ``value_kernel`` and ``conjugate_kernel`` are their
-    trusted array kernels (module docstring), which the bounds, the graph
-    test and the brute-force oracles call on validated points and grids.
+    ``value_kernel`` and ``conjugate_kernel`` are the trusted array kernels
+    of f and f* (module docstring), which the bounds, the graph test and
+    the brute-force oracles call on validated points and grids.
     ``gap_kernel`` is the package's only Fenchel-Young gap, in the entry's
     closed form that does not cancel near the graph (module docstring).
-    ``prox`` maps (gamma, z) to prox_{gamma f}(z) and ``prox_kernel`` is
-    its kernel.  ``fitzpatrick_gap`` is F_{df}(x, x*) - <x, x*> when a
-    closed form is known; it is row-wise and trusting like a value kernel
-    (one point gives a float64 scalar, a stack an ``(m,)`` array).
-    ``conjugate_prox`` is prox_{sigma f*} and powers the inverse of the
-    subdifferential, with ``conjugate_prox_kernel`` as its kernel; when
-    ``conjugate_prox`` is absent both are derived from the prox by the
-    Moreau decomposition.  ``subdiff_domain`` and ``subdiff_range`` are dom df and ran df.
+    ``prox_kernel`` is the kernel of prox_{gamma f}, and
+    ``conjugate_prox_kernel`` that of prox_{sigma f*}, which powers the
+    inverse of the subdifferential; when absent, the record derives it
+    from the prox by the Moreau decomposition.  ``fitzpatrick_gap`` is
+    F_{df}(x, x*) - <x, x*> when a closed form is known; it is row-wise and
+    trusting like a value kernel (one point gives a float64 scalar, a stack
+    an ``(m,)`` array).  ``subdiff_domain`` and ``subdiff_range`` are dom df
+    and ran df.  The record derives each public map left as None, ``value``,
+    ``conjugate``, ``prox`` and ``conjugate_prox``, from its kernel; their
+    messages name ``x``, ``x_star``, ``z`` and ``w``.
     """
 
     name: str
     dim: int
-    value: Callable[[np.ndarray], float]
-    conjugate: Callable[[np.ndarray], float]
     value_kernel: Callable[[np.ndarray], np.ndarray]
     conjugate_kernel: Callable[[np.ndarray], np.ndarray]
     gap_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    prox: Callable[[float, np.ndarray], np.ndarray]
     prox_kernel: Callable[[float, np.ndarray], np.ndarray]
     subdiff_domain: SetSpec
     subdiff_range: SetSpec
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    conjugate_prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     conjugate_prox_kernel: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    value: Optional[Callable[[np.ndarray], float]] = None
+    conjugate: Optional[Callable[[np.ndarray], float]] = None
+    prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    conjugate_prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.conjugate_prox_kernel is None:
+            object.__setattr__(self, "conjugate_prox_kernel", _flipped(self.prox_kernel))
+        _derive(self, "value", _evaluated, "x")
+        _derive(self, "conjugate", _evaluated, "x_star")
+        _derive(self, "prox", _validated, "z")
+        _derive(self, "conjugate_prox", _validated, "w")
 
 
 @dataclass(frozen=True)
 class Operator:
-    """A maximally monotone operator given by its resolvent and graph test.
+    """A maximally monotone operator, declared by its resolvent kernel and graph test.
 
-    ``resolvent`` maps (gamma, z) to J_{gamma A}(z) for gamma > 0, and
-    ``resolvent_kernel`` is its trusted array kernel (module docstring).
-    ``graph_kernel(x, x_star)`` tests (x, x*) in gr A row by row on
-    trusted points (a bool for one point, an ``(m,)`` mask for a stack);
-    :meth:`graph_contains` is its validated batch of one.
-    ``fitzpatrick_gap`` is row-wise and trusting in the same way.
+    ``resolvent_kernel`` is the trusted array kernel of J_{gamma A} for
+    gamma > 0 (module docstring); the record derives ``resolvent``, when
+    left as None, from it.  ``graph_kernel(x, x_star)`` tests (x, x*) in
+    gr A row by row on trusted points (a bool for one point, an ``(m,)``
+    mask for a stack); :meth:`graph_contains` is its validated batch of
+    one.  ``fitzpatrick_gap`` is row-wise and trusting in the same way.
     ``dom``/``ran`` describe dom A and ran A.  ``inverse_factory``, when
     present, builds A^{-1} from closed forms; otherwise the generic
     resolvent identity is used.
@@ -211,13 +229,16 @@ class Operator:
 
     name: str
     dim: int
-    resolvent: Callable[[float, np.ndarray], np.ndarray]
     resolvent_kernel: Callable[[float, np.ndarray], np.ndarray]
     graph_kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dom: SetSpec
     ran: SetSpec
     fitzpatrick_gap: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     inverse_factory: Optional[Callable[[], "Operator"]] = None
+    resolvent: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        _derive(self, "resolvent", _validated, "z")
 
     def inverse(self):
         """A^{-1}, built on the first call; later calls return the same object."""
@@ -258,15 +279,7 @@ def conjugate_function(f):
 
     Roles of value/conjugate, prox/conjugate_prox (each with its kernel),
     the gap kernel's arguments and the subdifferential domain/range swap.
-    When f carries no closed-form conjugate prox, the Moreau decomposition
-    prox_{sigma f*}(w) = w - sigma*prox_{f/sigma}(w/sigma) fills in.
     """
-    if f.conjugate_prox is not None:
-        star_prox, star_kernel = f.conjugate_prox, f.conjugate_prox_kernel
-    else:
-        star_kernel = _flipped(f.prox_kernel)
-        star_prox = _validated(star_kernel, f.dim, "w")
-
     return ConvexFunction(
         name=f"conjugate({f.name})",
         dim=f.dim,
@@ -275,9 +288,8 @@ def conjugate_function(f):
         value_kernel=f.conjugate_kernel,
         conjugate_kernel=f.value_kernel,
         gap_kernel=_swapped(f.gap_kernel),
-        prox=star_prox,
-        prox_kernel=star_kernel,
-        gradient=None,
+        prox=f.conjugate_prox,
+        prox_kernel=f.conjugate_prox_kernel,
         fitzpatrick_gap=_swapped(f.fitzpatrick_gap),
         conjugate_prox=f.prox,
         conjugate_prox_kernel=f.prox_kernel,
@@ -329,9 +341,6 @@ def make_energy(dim):
     def prox_kernel(gamma, z):
         return z / (1.0 + gamma)
 
-    value = _evaluated(value_kernel, dim, "x")
-    prox = _validated(prox_kernel, dim, "z")
-
     def fitz_gap(x, x_star):
         d = x - x_star
         return 0.25 * np.vecdot(d, d)
@@ -339,16 +348,12 @@ def make_energy(dim):
     return ConvexFunction(
         name="energy",
         dim=dim,
-        value=value,
-        conjugate=value,
         value_kernel=value_kernel,
         conjugate_kernel=value_kernel,
         gap_kernel=lambda x, x_star: value_kernel(x - x_star),
-        prox=prox,
         prox_kernel=prox_kernel,
         gradient=lambda x: as_vector(x, dim, "x").copy(),
         fitzpatrick_gap=fitz_gap,
-        conjugate_prox=prox,
         conjugate_prox_kernel=prox_kernel,
         subdiff_domain=_ALL,
         subdiff_range=_ALL,
@@ -438,16 +443,11 @@ def make_subspace_indicator(basis):
     return ConvexFunction(
         name="subspace",
         dim=dim,
-        value=_evaluated(value_kernel, dim, "x"),
-        conjugate=_evaluated(conjugate_kernel, dim, "x_star"),
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
         gap_kernel=fitz_gap,
-        prox=_validated(prox_kernel, dim, "z"),
         prox_kernel=prox_kernel,
-        gradient=None,
         fitzpatrick_gap=fitz_gap,
-        conjugate_prox=_validated(conjugate_prox_kernel, dim, "w"),
         conjugate_prox_kernel=conjugate_prox_kernel,
         subdiff_domain=member_U,
         subdiff_range=member_Uperp,
@@ -519,16 +519,11 @@ def make_burg():
     return ConvexFunction(
         name="burg",
         dim=1,
-        value=_evaluated(value_kernel, 1, "x"),
-        conjugate=_evaluated(conjugate_kernel, 1, "x_star"),
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
         gap_kernel=_elementwise_gap(scalar_gap),
-        prox=_validated(prox_kernel, 1, "z"),
         prox_kernel=prox_kernel,
         gradient=gradient,
-        fitzpatrick_gap=None,
-        conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
         conjugate_prox_kernel=conjugate_prox_kernel,
         subdiff_domain=_POSITIVE,
         subdiff_range=_NEGATIVE,
@@ -596,16 +591,11 @@ def make_shannon():
     return ConvexFunction(
         name="shannon",
         dim=1,
-        value=_evaluated(value_kernel, 1, "x"),
-        conjugate=_evaluated(conjugate_kernel, 1, "x_star"),
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
         gap_kernel=_elementwise_gap(scalar_gap),
-        prox=_validated(prox_kernel, 1, "z"),
         prox_kernel=prox_kernel,
         gradient=gradient,
-        fitzpatrick_gap=None,
-        conjugate_prox=_validated(conjugate_prox_kernel, 1, "w"),
         conjugate_prox_kernel=conjugate_prox_kernel,
         subdiff_domain=_POSITIVE,
         subdiff_range=_ALL,
@@ -659,7 +649,6 @@ def make_rotator():
     rotator = Operator(
         name="rotator",
         dim=2,
-        resolvent=_validated(resolvent, 2, "z"),
         resolvent_kernel=resolvent,
         graph_kernel=graph_kernel,
         dom=_ALL,

@@ -140,6 +140,8 @@ def run_series(args):
 def run_verify(args):
     from . import verify
 
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed!r}")
     verify.check_slack(args.slack, "--slack")
     results = verify.run_all(seed=args.seed, slack=args.slack)
     all_ok = True
@@ -162,6 +164,8 @@ def run_oracle_compare(args):
     from . import verify
 
     entry = _function_entry(args.spec)
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed!r}")
     if args.count < 0:
         raise CliError(f"--count must be >= 0, got {args.count!r}")
     rng = np.random.default_rng(args.seed)

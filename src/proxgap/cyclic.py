@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .bounds import _carlier
 from .core import as_gamma, as_pairs, as_vector, inner
 
 
@@ -132,8 +133,7 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     if not (np.isfinite(z).all() and np.isfinite(a_star[:-1]).all()):
         raise ValueError("z = x + gamma*a_star has non-finite entries in the cyclic recursion")
 
-    d = x - a
-    terms = np.vecdot(d, d) / gammas
+    terms = _carlier(x, a, gammas[:, None])
     return CyclicSequence(
         x=x,
         x_star=x_star,

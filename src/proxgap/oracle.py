@@ -72,14 +72,12 @@ def _scan(points, values, x_star, lows, highs):
     return top, cand[idx]
 
 
-def _scan_box(f, x_star, lows, highs, n):
-    """_scan on the grid of the box for one query, or for each query of a
-    list; f is evaluated on the grid once."""
+def _scan_box(f, queries, lows, highs, n):
+    """_scan on the grid of the box for each query of a list; f is
+    evaluated on the grid once."""
     points = _grid(lows, highs, n)
     values = f.value_kernel(points)
-    if isinstance(x_star, list):
-        return [_scan(points, values, q, lows, highs) for q in x_star]
-    return _scan(points, values, x_star, lows, highs)
+    return [_scan(points, values, q, lows, highs) for q in queries]
 
 
 def numeric_conjugate(f, x_star):

@@ -468,6 +468,58 @@ def test_derived_kernels_keep_the_bits_of_the_hand_written_forms(burg, rotator):
         assert tuple(float(c).hex() for c in got) == want
 
 
+# ------------------------------------------------------ derived public maps
+
+SPECS = ["energy:dim=2", "subspace:dim=3:basis=1,0,0;0,1,1", "burg", "shannon", "rotator"]
+
+
+def _public_maps(spec):
+    """(record, public map field, the argument its messages name) for a
+    parsed entry, its conjugate and its inverse."""
+    entry = parse_spec(spec)
+    op = catalog.as_operator(entry)
+    maps = [(op, "resolvent", "z"), (op.inverse(), "resolvent", "w")]
+    if op is not entry:
+        star = conjugate_function(entry)
+        for record, names in ((entry, ("x", "x_star", "z", "w")), (star, ("x_star", "x", "w", "z"))):
+            fields = ("value", "conjugate", "prox", "conjugate_prox")
+            maps += [(record, field, name) for field, name in zip(fields, names)]
+    return maps
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_public_maps_are_their_kernels_behind_as_vector(spec, rng):
+    for record, field, name in _public_maps(spec):
+        public = getattr(record, field)
+        kernel = getattr(record, f"{field}_kernel")
+        # value maps take a point; prox and resolvent maps a gamma and a point
+        args = () if field in ("value", "conjugate") else (float(10.0 ** rng.uniform(-3.0, 3.0)),)
+        for _ in range(20):
+            p = rng.normal(size=record.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+            got = public(*args, p.tolist())
+            want = kernel(*args, p)
+            if not args:
+                want = float(want)
+            assert type(got) is type(want), (record.name, field)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (record.name, field, p)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+                public(*args, [bad] + [0.5] * (record.dim - 1))
+
+
+@pytest.mark.parametrize("spec", SPECS[:-1])
+def test_a_replaced_prox_reaches_every_public_path(spec):
+    import dataclasses
+
+    def p(gamma, z):
+        return z
+
+    f = dataclasses.replace(parse_spec(spec), prox=p)
+    assert f.prox is p
+    assert catalog.as_operator(f).resolvent is p
+    assert conjugate_function(f).conjugate_prox is p
+
+
 # gamma * gamma or gamma * z overflows here; the rows are divided through by
 # gamma, and rows that do not overflow keep the bits of the plain form
 @pytest.mark.filterwarnings("error")

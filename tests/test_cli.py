@@ -273,6 +273,11 @@ def test_eval_usage_errors_exit_1(capsys, argv, fragment):
         (["verify", "--slack", "nan"], "--slack must be finite and >= 0, got nan"),
         (["verify", "--slack", "-1"], "--slack must be finite and >= 0, got -1.0"),
         (["verify", "--slack", "inf"], "--slack must be finite and >= 0, got inf"),
+        (["verify", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (
+            ["oracle-compare", "--spec", "burg", "--seed", "-3", "--count", "1"],
+            "--seed must be >= 0, got -3",
+        ),
     ],
 )
 def test_gamma_and_step_flags_reject_non_finite_exit_1(capsys, argv, fragment):

@@ -35,6 +35,14 @@ FUNCTIONS = {
 }
 
 
+def _moreau(f):
+    """f with its closed-form conjugate prox dropped, so the record derives
+    the Moreau flip of its prox."""
+    bare = dataclasses.replace(f, conjugate_prox=None, conjugate_prox_kernel=None)
+    assert bare.conjugate_prox_kernel is not f.conjugate_prox_kernel
+    return bare
+
+
 def _operators():
     """Every resolvent path: name -> operator."""
     ops = {}
@@ -43,7 +51,7 @@ def _operators():
         ops[name] = op
         ops[f"{name}/closed-inverse"] = op.inverse()
         ops[f"{name}/generic-inverse"] = dataclasses.replace(op, inverse_factory=None).inverse()
-        bare = dataclasses.replace(make(), conjugate_prox=None)
+        bare = _moreau(make())
         ops[f"{name}/moreau-inverse"] = subdifferential_operator(conjugate_function(bare))
     rot = catalog.make_rotator()
     ops["rotator"] = rot
@@ -140,7 +148,7 @@ def test_resolvent_kernel_rows_match_public_calls(name, rng):
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_prox_kernels_rows_match_public_calls(name, rng):
     f = FUNCTIONS[name]()
-    for fallback in (f, dataclasses.replace(f, conjugate_prox=None)):
+    for fallback in (f, _moreau(f)):
         star = conjugate_function(fallback)
         for public, kernel in ((f.prox, f.prox_kernel), (star.prox, star.prox_kernel)):
             z = _points(rng, f.dim)

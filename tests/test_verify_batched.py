@@ -288,7 +288,8 @@ def _operators():
         ops[name] = op
         ops[f"{name}/closed-inverse"] = op.inverse()
         ops[f"{name}/generic-inverse"] = dataclasses.replace(op, inverse_factory=None).inverse()
-        bare = dataclasses.replace(f, conjugate_prox=None)
+        bare = dataclasses.replace(f, conjugate_prox=None, conjugate_prox_kernel=None)
+        assert bare.conjugate_prox_kernel is not f.conjugate_prox_kernel
         ops[f"{name}/moreau-inverse"] = subdifferential_operator(conjugate_function(bare))
     rot = catalog.make_rotator()
     ops["rotator"] = rot
@@ -357,13 +358,13 @@ def _per_query_scan(f, x_star):
     n = POINTS_PER_AXIS[f.dim]
     lows = np.full(f.dim, LO)
     highs = np.full(f.dim, HI)
-    best_val, best_arg = oracle._scan_box(f, x_star, lows, highs, n)
+    best_val, best_arg = oracle._scan_box(f, [x_star], lows, highs, n)[0]
     half_width = 0.5 * (HI - LO)
     for _ in range(REFINE_ROUNDS):
         half_width /= 10.0
         lows = np.clip(best_arg - half_width, LO, HI)
         highs = np.clip(best_arg + half_width, LO, HI)
-        val, arg = oracle._scan_box(f, x_star, lows, highs, n)
+        val, arg = oracle._scan_box(f, [x_star], lows, highs, n)[0]
         if val > best_val:
             best_val, best_arg = val, arg
     spacing = (HI - LO) / (n - 1)

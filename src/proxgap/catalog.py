@@ -25,11 +25,9 @@ conjugate prox and resolvent kernels ``kernel(gamma, z)`` take a float
 positive floats for a stack; the result has the shape of ``z``.  Kernels
 validate nothing and do not check that their output is finite; the one
 exception is the rescaled point of the flipped kernels (:func:`_flipped`).
-Burg's and Shannon's proxes and gaps are formulas on Python floats
-(:func:`_elementwise`): one point at a float gamma calls the formula
-directly and raises no warning, while a stack goes through
-``np.frompyfunc``, which raises numpy's floating-point warnings where the
-formula overflows (the gap kernels silence them).
+Burg's and Shannon's proxes and gaps (:func:`_elementwise`) and the
+rotator's resolvent are one formula on Python floats each, which every
+point goes through, alone or in a stack, and which raises no warning.
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
 and ``resolvent`` are the kernels behind one ``as_vector`` call (see
 :func:`_evaluated` and :func:`_validated`); code that holds validated
@@ -60,7 +58,6 @@ _EXP_CEIL = 690.0
 # ln 2 = _LN2_HI + _LN2_LO, with k * _LN2_HI exact for every float exponent k
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
-_TURN = np.array([1.0, -1.0])  # the reversed point (z2, z1) times _TURN is (z2, -z1)
 
 # s * s + 4 * gamma stays finite for |s| below _SQUARE_SAFE (the square root of
 # the largest float is 1.34e154) and gamma below _GAMMA_SAFE (4 * gamma
@@ -104,34 +101,30 @@ def _validated(kernel, dim, name):
 def _elementwise(scalar_map):
     """The kernel of a one-dimensional map given on Python floats.
 
-    Each element goes through ``scalar_map(gamma, s)`` unchanged, which
-    keeps ``math``'s results bit for bit and costs less per point than a
-    chain of numpy calls on one-element arrays.  One point at a float
-    gamma calls ``scalar_map`` directly; a stack goes through
-    ``np.frompyfunc``.  Both hand it Python floats, so the bits agree, but
-    only the stack path reads the FP status after the loop and raises
-    numpy's warnings (an overflow inside ``scalar_map`` warns there); the
-    one-point path raises none.
+    Every element, of one point or of a stack, goes through
+    ``scalar_map(gamma, s)`` on Python floats, which keeps ``math``'s
+    results bit for bit, raises no numpy warning and costs less per point
+    than a chain of numpy calls on one-element arrays.  One point at a
+    float gamma skips the broadcast.
     """
-    ufunc = np.frompyfunc(scalar_map, 2, 1)
 
     def kernel(gamma, z):
         if z.shape == (1,) and type(gamma) is float:
             return np.array([scalar_map(gamma, z.item())])
-        return ufunc(gamma, z).astype(float)
+        gammas = np.broadcast_to(gamma, z.shape).ravel().tolist()
+        return np.array(list(map(scalar_map, gammas, z.ravel().tolist()))).reshape(z.shape)
 
     return kernel
 
 
 def _elementwise_gap(scalar_gap):
-    """The gap kernel of ``scalar_gap(s, t)`` on Python floats; an overflow is +inf, unwarned."""
-    ufunc = _elementwise(scalar_gap)
+    """The gap kernel of ``scalar_gap(s, t)``: one call per row pair on
+    Python floats, so an overflow is +inf with no warning."""
 
     def kernel(x, x_star):
-        if x.shape == (1,) and x_star.shape == (1,):
-            return np.float64(scalar_gap(x.item(), x_star.item()))
-        with np.errstate(over="ignore"):
-            return ufunc(x, x_star)[..., 0][()]
+        pairs = zip(x.ravel().tolist(), x_star.ravel().tolist(), strict=True)
+        gaps = [scalar_gap(s, t) for s, t in pairs]
+        return np.float64(gaps[0]) if x.ndim == 1 else np.array(gaps)
 
     return kernel
 
@@ -557,8 +550,13 @@ def make_shannon():
         out = np.full(t.shape, INF)
         return np.exp(t, out=out, where=t <= _EXP_CEIL)[()]
 
+    # where s/gamma overflows, the root of p + gamma ln p = s rounds to s,
+    # since gamma ln s / s < 4e-306 there
     def scalar_prox(gamma, s):
-        return gamma * lambert_w_exp(s / gamma - math.log(gamma))
+        t = s / gamma - math.log(gamma)
+        if t == INF:
+            return s - gamma * math.log(s)
+        return gamma * lambert_w_exp(t)
 
     def scalar_conjugate_prox(sigma, t):
         return t - lambert_w_exp(t + math.log(sigma))
@@ -619,25 +617,25 @@ def make_rotator():
     Fitzpatrick function is the indicator of the graph, so the gap is 0
     on the graph and +inf off it.  The inverse is the quarter turn the
     other way, A^{-1} = -A, so J_{mu A^{-1}} is the resolvent at gamma = -mu.
-    Where gamma * gamma or gamma * z overflows, rows are divided through by gamma.
+    Every point, alone or in a stack, goes through one formula on Python
+    floats, which raises no warning: where 1 + gamma^2 or either coordinate
+    is not finite, the row is divided through by gamma.
     """
 
-    def plain(gamma, z):
-        return (z + z[..., ::-1] * (gamma * _TURN)) / (1.0 + gamma * gamma)
+    def turn(gamma, z1, z2):
+        d = 1.0 + gamma * gamma
+        a1, a2 = (z1 + z2 * gamma) / d, (z2 + z1 * -gamma) / d
+        if math.isfinite(d) and math.isfinite(a1) and math.isfinite(a2):
+            return a1, a2
+        e = 1.0 / gamma + gamma
+        return (z1 / gamma + z2) / e, (z2 / gamma - z1) / e
 
     def resolvent(gamma, z):
-        # one point at a float gamma: Python floats, which do not warn, tell whether
-        # gamma * gamma and gamma * z stay finite, and then give plain's two
-        # coordinates in its order of operations
-        if isinstance(gamma, float) and z.ndim == 1:
-            z1, z2 = z.tolist()
-            if abs(gamma) * max(abs(gamma), abs(z1), abs(z2)) < INF:
-                d = 1.0 + gamma * gamma
-                return np.array([(z1 + z2 * gamma) / d, (z2 + z1 * -gamma) / d])
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = plain(gamma, z)
-            lost = ~np.isfinite(out).all(axis=-1, keepdims=True) | ~np.isfinite(gamma * gamma)
-            return np.where(lost, (z / gamma + z[..., ::-1] * _TURN) / (1.0 / gamma + gamma), out)
+        if type(gamma) is float and z.ndim == 1:
+            return np.array(turn(gamma, *z.tolist()))
+        gammas = np.broadcast_to(gamma, z.shape)[..., 0].ravel().tolist()
+        rows = map(turn, gammas, *z.reshape(-1, 2).T.tolist())
+        return np.array(list(rows)).reshape(z.shape)
 
     def graph_kernel(x, x_star):
         turned = np.stack((-x[..., 1], x[..., 0]), axis=-1)

@@ -86,6 +86,8 @@ def run_sweep(args):
 
     lo = as_gamma(args.gamma_lo, "--gamma-lo")
     hi = as_gamma(args.gamma_hi, "--gamma-hi")
+    if not lo < hi:
+        raise CliError(f"--gamma-lo must be below --gamma-hi, got {lo!r} and {hi!r}")
     if args.count < analysis.WINDOW:
         raise CliError(f"--count must be >= {analysis.WINDOW}, got {args.count!r}")
     result = analysis.gamma_sweep(A, x, x_star, lo=lo, hi=hi, count=args.count)
@@ -116,6 +118,11 @@ def run_series(args):
         schedule = cyclic.GammaSchedule.const(as_gamma(args.gamma, "--gamma"))
     if args.n_terms < 1:
         raise CliError(f"--n-terms must be >= 1, got {args.n_terms!r}")
+    if args.gammas is not None and len(gammas) < args.n_terms:
+        raise CliError(
+            f"--gammas supplies {len(gammas)} values but {args.n_terms} terms "
+            "requested by --n-terms"
+        )
 
     seq = cyclic.generate_cyclic_sequence(A, x, x_star, schedule, args.n_terms)
 

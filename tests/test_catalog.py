@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -265,6 +266,24 @@ def test_shannon_prox_huge_input_no_overflow(shannon):
     p = float(shannon.prox(1e-6, [3.0])[0])
     assert math.isfinite(p)
     assert abs(p - 3.0) < 0.1  # prox -> identity as gamma -> 0
+
+
+TINY_GAMMAS = [1e-300, 1e-200, 1e-100, 1e-20, 1e-10, 1e-9]
+BIG_Z = [1.0, 1e100, 1e200, 1e290, 1e299, 1e300, np.finfo(float).max]
+
+
+# z/gamma overflows on most of these rows, where the root of p + gamma ln p = z
+# rounds to z; on the others the Lambert W form keeps its bits
+@pytest.mark.filterwarnings("error")
+def test_shannon_prox_where_z_over_gamma_overflows(shannon):
+    gamma, z = np.array([(g, s) for g in TINY_GAMMAS for s in BIG_Z]).T
+    stack = shannon.prox_kernel(gamma[:, None], z[:, None])[:, 0]
+    for g, s, p in zip(gamma.tolist(), z.tolist(), stack.tolist()):
+        assert shannon.prox(g, [s])[0] == p
+        assert math.isfinite(p)
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda q: q + g * mpmath.log(q) - s, s)
+            assert abs(p - root) <= math.ulp(p), (g, s)
 
 
 # --------------------------------------------------------------- rotator

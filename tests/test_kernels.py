@@ -6,10 +6,10 @@ conjugate.  Row i of a prox or resolvent kernel call must match the public
 call to within 4 ulp, for every catalog entry and every derived path: the
 closed-form inverse, the generic resolvent flip and the Moreau
 conjugate-prox fallback.  A one-point call of a resolvent or gap kernel
-must equal a stack of one bit for bit, and raise no warning.  The drivers
-built on the kernels (gamma sweeps and the cyclic series, including its
-stops at a fixed point or a 2-cycle) are checked against plain loops over
-the public API.
+must equal a stack of one bit for bit, and neither may raise a warning.
+The drivers built on the kernels (gamma sweeps and the cyclic series,
+including its stops at a fixed point or a 2-cycle) are checked against
+plain loops over the public API.
 """
 
 import dataclasses
@@ -157,12 +157,24 @@ def test_prox_kernels_rows_match_public_calls(name, rng):
             assert_within_ulps(kernel(gammas[:, None], z), want)
 
 
+# (gamma, z) where the formula overflows: Shannon's z/gamma, and the
+# rotator's plain sum z1 + gamma z2 while gamma * max(|gamma|, |z|) is finite
+OVERFLOW_ROWS = {
+    "shannon": [(1e-10, [1e300])],
+    "rotator": [(0.9, [1.7e308, 1.7e308])],
+}
+
+
 def _one_point_rows(name, rng):
-    """_points, and the edge rows of the function an operator path comes from."""
+    """(gammas, points): _points, the edge rows of the function an operator
+    path comes from, and the operator's rows in OVERFLOW_ROWS."""
     op = OPERATORS[name]
     base = FUNCTIONS.get(name.split("/")[0])
     edges = np.empty((0, op.dim)) if base is None else _edge_rows(base())
-    return np.vstack([_points(rng, op.dim), edges])
+    z = np.vstack([_points(rng, op.dim), edges])
+    overflow = OVERFLOW_ROWS.get(name, [])
+    g = np.concatenate([_gammas(rng, len(z)), [gamma for gamma, _ in overflow]])
+    return g, np.vstack([z] + [[point] for _, point in overflow])
 
 
 @pytest.mark.filterwarnings("error")
@@ -171,12 +183,9 @@ def test_one_point_resolvent_equals_a_stack_of_one(name, rng):
     # the operators' resolvent kernels are every prox and conjugate prox
     # kernel: closed forms, resolvent flips and Moreau fallbacks
     kernel = OPERATORS[name].resolvent_kernel
-    z = _one_point_rows(name, rng)
-    g = _gammas(rng, len(z))
+    g, z = _one_point_rows(name, rng)
     for i in range(len(z)):
-        # a stack goes through numpy's FP status checks; one point raises no warning
-        with np.errstate(all="ignore"):
-            want = kernel(g[i:i + 1, None], z[i:i + 1])[0]
+        want = kernel(g[i:i + 1, None], z[i:i + 1])[0]
         got = kernel(float(g[i]), z[i])
         assert got.tobytes() == want.tobytes(), (i, g[i], z[i])
 
@@ -196,11 +205,19 @@ def test_one_point_gap_equals_a_stack_of_one(name, rng):
     for x, x_star in pairs:
         for u, v in ((x, x_star), (x_star, x)):
             for i in range(len(u)):
-                with np.errstate(all="ignore"):
-                    want = f.gap_kernel(u[i:i + 1], v[i:i + 1])[0]
+                want = f.gap_kernel(u[i:i + 1], v[i:i + 1])[0]
                 got = f.gap_kernel(u[i], v[i])
                 assert type(got) is np.float64
                 assert got.tobytes() == want.tobytes(), (i, u[i], v[i])
+
+
+@pytest.mark.parametrize("name", ["burg", "shannon"])
+def test_entropy_gap_kernels_pair_rows_strictly(name, rng):
+    # one row against three is a caller's error, not a broadcast
+    f = FUNCTIONS[name]()
+    x = np.abs(_points(rng, 1, 3))
+    with pytest.raises(ValueError):
+        f.gap_kernel(x[:1], -x)
 
 
 def test_subspace_gap_is_the_sum_of_its_indicators(rng):

@@ -162,6 +162,8 @@ def classify_limit_zero(A, x, x_star):
 
 def classify_limit_infinity(A, x, x_star):
     """The gamma -> infinity limit, by duality the zero limit of A^{-1}."""
+    x = as_vector(x, A.dim, "x")
+    x_star = as_vector(x_star, A.dim, "x_star")
     return classify_limit_zero(A.inverse(), x_star, x)
 
 
@@ -202,37 +204,29 @@ def boundary_limit_regressions():
     x0 = np.array([0.0])
 
     rows = []
-    burg_matches = True
-    burg_limit_ok = True
-    shannon_matches = True
-    shannon_limit_ok = True
-
     for y in _BOUNDARY_YS:
         for gamma in _BOUNDARY_GAMMAS:
             generic = carlier_bound(burg_op, gamma, x0, [y])
             closed = (0.5 * (math.sqrt(gamma) * y + math.sqrt(gamma * y * y + 4.0))) ** 2
             rows.append(BoundaryRow("burg", y, gamma, generic, closed))
-            if abs(generic - closed) > 1e-10 * (1.0 + abs(closed)):
-                burg_matches = False
-            if gamma <= 1e-8 and abs(generic - 1.0) > 1e-3:
-                burg_limit_ok = False
-
         for gamma in _BOUNDARY_GAMMAS:
             generic = carlier_bound(shannon_op, gamma, x0, [y])
             w = lambert_w_exp(y - math.log(gamma))
-            closed = gamma * w * w
-            rows.append(BoundaryRow("shannon", y, gamma, generic, closed))
-            if abs(generic - closed) > 1e-12 * (1.0 + abs(closed)):
-                shannon_matches = False
-            if gamma <= 1e-6 and not generic < 1e-3:
-                shannon_limit_ok = False
+            rows.append(BoundaryRow("shannon", y, gamma, generic, gamma * w * w))
+
+    # each flag is one predicate over its entry's rows, which a NaN carlier fails
+    def holds(entry, ok):
+        return all(ok(r) for r in rows if r.entry == entry)
+
+    def matches(rtol):
+        return lambda r: abs(r.carlier - r.closed_form) <= rtol * (1.0 + abs(r.closed_form))
 
     return BoundaryReport(
         rows=tuple(rows),
-        burg_matches=burg_matches,
-        burg_limit_ok=burg_limit_ok,
-        shannon_matches=shannon_matches,
-        shannon_limit_ok=shannon_limit_ok,
+        burg_matches=holds("burg", matches(1e-10)),
+        burg_limit_ok=holds("burg", lambda r: r.gamma > 1e-8 or abs(r.carlier - 1) <= 1e-3),
+        shannon_matches=holds("shannon", matches(1e-12)),
+        shannon_limit_ok=holds("shannon", lambda r: r.gamma > 1e-6 or r.carlier < 1e-3),
     )
 
 
@@ -259,13 +253,17 @@ class PgmTrace:
 _DIVERGE_NORM = 1e12
 
 
+class PgmDiverged(ValueError):
+    """The PGM iterates left the ball of radius ``_DIVERGE_NORM``."""
+
+
 def _pgm_run(f_smooth, f_prox, step, y0, iters):
     y = y0
     out = [y]
     for _ in range(iters):
         y = f_prox.prox(step, y - step * f_smooth.gradient(y))
         if float(np.linalg.norm(y)) > _DIVERGE_NORM:
-            raise ValueError(f"PGM iterates diverged: ||y|| > {_DIVERGE_NORM:g}")
+            raise PgmDiverged(f"PGM iterates diverged: ||y|| > {_DIVERGE_NORM:g}")
         out.append(y)
     return out
 

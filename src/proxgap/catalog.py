@@ -29,7 +29,8 @@ Burg's and Shannon's proxes and gaps (:func:`_elementwise`) and the
 rotator's resolvent are one formula on Python floats each, which every
 point goes through, alone or in a stack, and which raises no warning.
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
-and ``resolvent`` are the kernels behind one ``as_vector`` call (see
+and ``resolvent`` are the kernels behind one ``as_vector`` call, and the
+last three reject a gamma that is not positive and finite before it (see
 :func:`_evaluated` and :func:`_validated`); code that holds validated
 arrays, and drivers that check finiteness of their stacked inputs
 themselves, call the kernels directly.
@@ -49,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import INF, as_vector, check_finite, parse_vector, row_norm, within_membership
+from .core import INF, as_gamma, as_vector, check_finite, parse_vector, row_norm, within_membership
 from .lambertw import lambert_w_exp
 
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
@@ -90,9 +91,12 @@ def _evaluated(kernel, dim, name):
 
 
 def _validated(kernel, dim, name):
-    """The public (gamma, point) map of a kernel: ``as_vector`` once, then the kernel."""
+    """The public (gamma, point) map of a kernel: gamma tested positive and finite
+    (``as_gamma`` words the error), ``as_vector`` once on the point, then the kernel."""
 
     def call(gamma, z):
+        if not 0.0 < gamma < INF:
+            as_gamma(gamma)
         return kernel(gamma, as_vector(z, dim, name))
 
     return call

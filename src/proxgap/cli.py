@@ -16,7 +16,7 @@ import numpy as np
 
 # each subcommand imports the other modules it calls, so a run loads only those
 from . import catalog
-from .core import INF, MEMBERSHIP_TOL, as_gamma, parse_vector
+from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, parse_vector
 
 ENV_OUTPUT_DIR = "PROXGAP_OUTPUT_DIR"
 
@@ -37,6 +37,11 @@ def _function_entry(spec):
     return entry
 
 
+def _vector_flag(text, name, dim):
+    """The finite point of dimension ``dim`` that a vector flag gives; errors name the flag."""
+    return as_vector(parse_vector(text, name), dim, name)
+
+
 def _resolve_out(out_arg, default_name):
     if out_arg:
         return Path(out_arg)
@@ -50,8 +55,8 @@ def run_eval(args):
     from . import bounds, serialize
 
     entry = _function_entry(args.spec)
-    x = parse_vector(args.x, "--x")
-    x_star = parse_vector(args.xstar, "--xstar")
+    x = _vector_flag(args.x, "--x", entry.dim)
+    x_star = _vector_flag(args.xstar, "--xstar", entry.dim)
     gamma = as_gamma(args.gamma, "--gamma")
 
     report = bounds.bound_report(entry, gamma, x, x_star)
@@ -73,10 +78,9 @@ def run_eval(args):
 def run_sweep(args):
     from . import analysis, serialize
 
-    entry = catalog.parse_spec(args.spec)
-    A = catalog.as_operator(entry)
-    x = parse_vector(args.x, "--x")
-    x_star = parse_vector(args.xstar, "--xstar")
+    A = catalog.as_operator(catalog.parse_spec(args.spec))
+    x = _vector_flag(args.x, "--x", A.dim)
+    x_star = _vector_flag(args.xstar, "--xstar", A.dim)
     out = _resolve_out(args.out, "sweep.csv")
     if out is not None and out.suffix == ".json":
         raise CliError(
@@ -108,8 +112,8 @@ def run_series(args):
 
     entry = catalog.parse_spec(args.spec)
     A = catalog.as_operator(entry)
-    x = parse_vector(args.x, "--x")
-    x_star = parse_vector(args.xstar, "--xstar")
+    x = _vector_flag(args.x, "--x", A.dim)
+    x_star = _vector_flag(args.xstar, "--xstar", A.dim)
 
     if args.gammas is not None:
         gammas = [as_gamma(g, "--gammas") for g in parse_vector(args.gammas, "--gammas")]
@@ -207,17 +211,13 @@ def run_pgm(args):
     gamma = as_gamma(args.gamma, "--gamma")
     if args.iters < 1:
         raise CliError(f"--iters must be >= 1, got {args.iters!r}")
-    y0 = parse_vector(args.y0, "--y0")
-    if len(y0) != 2:
-        raise CliError(f"--y0 '{args.y0}' must have dimension 2")
+    y0 = _vector_flag(args.y0, "--y0", 2)
 
     f_smooth = catalog.make_energy(2)
     f_prox = catalog.make_subspace_indicator([[1.0, 0.0]])
     try:
-        trace = analysis.pgm_certificates(
-            f_smooth, f_prox, step, gamma, y0, iters=args.iters
-        )
-    except ValueError as exc:
+        trace = analysis.pgm_certificates(f_smooth, f_prox, step, gamma, y0, iters=args.iters)
+    except analysis.PgmDiverged as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2
 

@@ -92,10 +92,9 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     bound C_{A,gamma_1}(x, x*) by construction.  Each step is a pure
     function of (a_{k-1}*, gamma_k), so under a constant schedule the chain
     is periodic as soon as a step returns an earlier a* bit for bit.  A
-    step that returns a_{k-1}* is a fixed point, and the remaining rows
-    repeat row k; one that returns a_{k-2}* closes a 2-cycle, and the
-    remaining rows alternate rows k - 1 and k.  Either way they are filled
-    in without further steps.  A ``values=`` schedule never stops early.
+    step k that returns a_{k-p}* for p = 1 (a fixed point) or p = 2 (a
+    2-cycle) stops the loop, and the remaining rows repeat rows
+    k + 1 - p .. k in turn.  A ``values=`` schedule never stops early.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
@@ -116,15 +115,10 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
         a_star[k] = sk
         if constant:
             key = sk.tobytes()
-            if key == last:
-                a[k + 1:] = ak
-                a_star[k + 1:] = sk
-                break
-            if key == before:
-                a[k + 1::2] = a[k - 1]
-                a_star[k + 1::2] = a_star[k - 1]
-                a[k + 2::2] = ak
-                a_star[k + 2::2] = sk
+            if key in (last, before):
+                p = 1 if key == last else 2
+                for rows in (a, a_star):
+                    rows[k + 1:] = np.resize(rows[k + 1 - p:k + 1], rows[k + 1:].shape)
                 break
             last, before = key, last
         prev = sk

@@ -147,6 +147,16 @@ def test_classify_infinity_duality(burg, energy2):
     assert surjective.agree is True
 
 
+def test_classify_infinity_names_its_own_arguments(energy2):
+    A = subdifferential_operator(energy2)
+    with pytest.raises(ValueError, match="^x_star has non-finite entries"):
+        classify_limit_infinity(A, [1.0, 2.0], [math.nan, 1.0])
+    with pytest.raises(ValueError, match="^x_star has dimension 1, expected 2"):
+        classify_limit_infinity(A, [1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="^x has dimension 1, expected 2"):
+        classify_limit_infinity(A, [1.0], [1.0, 2.0])
+
+
 def test_classify_subspace_membership(subspace_e1):
     A = subdifferential_operator(subspace_e1)
     inside = classify_limit_zero(A, [2.0, 0.0], [1.0, 1.0])
@@ -166,6 +176,18 @@ def test_boundary_report_flags():
     assert report.shannon_limit_ok
     for row in report.rows:
         assert math.isfinite(row.carlier)
+
+
+def test_boundary_flags_fail_on_a_nan_carlier(monkeypatch):
+    from proxgap import analysis
+
+    monkeypatch.setattr(analysis, "carlier_bound", lambda *args: math.nan)
+    report = analysis.boundary_limit_regressions()
+    assert len(report.rows) == 24
+    assert not report.burg_matches
+    assert not report.burg_limit_ok
+    assert not report.shannon_matches
+    assert not report.shannon_limit_ok
 
 
 def test_boundary_burg_rows_match_closed_form():

@@ -524,6 +524,11 @@ def test_public_maps_are_their_kernels_behind_as_vector(spec, rng):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
                 public(*args, [bad] + [0.5] * (record.dim - 1))
+        if args:
+            # gamma is checked before the point, here a non-finite one
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="^gamma must be positive and finite"):
+                    public(bad, [math.nan] * record.dim)
 
 
 @pytest.mark.parametrize("spec", SPECS[:-1])
@@ -552,5 +557,6 @@ def test_rotator_resolvent_finite_where_gamma_overflows(rotator):
     z = np.array([[1.79e308, 1.0], [1.0, 2.0], [4.0, -1.0]])
     rows = rotator.resolvent_kernel(gamma, z)
     assert rows[0].tolist() == a.tolist()
-    for i in (1, 2):
-        assert rows[i].tolist() == rotator.resolvent(float(gamma[i, 0]), z[i]).tolist()
+    assert rows[1].tolist() == rotator.resolvent(0.5, z[1]).tolist()
+    # the public resolvent takes gamma > 0; the kernel at -3 is the inverse's at 3
+    assert rows[2].tolist() == rotator.inverse().resolvent(3.0, z[2]).tolist()

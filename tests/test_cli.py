@@ -246,7 +246,7 @@ def test_eval_burg_gap_near_the_graph_is_not_negative(capsys):
         ),
         (
             ["eval", "--spec", "energy:dim=2", "--x", "1,0,3", "--xstar", "0,1", "--gamma", "1.0"],
-            "",  # dimension mismatch from the library, still exit 1
+            "--x has dimension 3, expected 2",
         ),
     ],
 )
@@ -315,6 +315,23 @@ def test_eval_usage_errors_exit_1(capsys, argv, fragment):
             + ["--gammas", "1,2", "--n-terms", "3"],
             "--gammas supplies 2 values but 3 terms requested by --n-terms",
         ),
+        (
+            ["eval", "--spec", "energy:dim=2", "--x", "1,nan", "--xstar", "0,1", "--gamma", "1"],
+            "--x has non-finite entries",
+        ),
+        (
+            ["eval", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "inf,1", "--gamma", "1"],
+            "--xstar has non-finite entries",
+        ),
+        (
+            ["sweep", "--spec", "energy:dim=2", "--x", "1,nan", "--xstar", "0,1"],
+            "--x has non-finite entries",
+        ),
+        (
+            ["series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,-inf"],
+            "--xstar has non-finite entries",
+        ),
+        (["pgm", "--y0", "1,nan"], "--y0 has non-finite entries"),
     ],
 )
 def test_gamma_and_step_flags_reject_non_finite_exit_1(capsys, argv, fragment):
@@ -706,7 +723,14 @@ def test_pgm_divergence_exits_2(capsys):
     assert "diverged" in err
 
 
+def test_pgm_input_errors_exit_1(capsys):
+    # a Minty point past the float range is the library rejecting its input
+    code, _, err = run_cli(capsys, "pgm", "--gamma", "1e308")
+    assert code == 1
+    assert "error: z has non-finite entries" in err and "contract violation" not in err
+
+
 def test_pgm_validates_y0(capsys):
     code, _, err = run_cli(capsys, "pgm", "--y0", "1,2,3")
     assert code == 1
-    assert "dimension 2" in err
+    assert "--y0 has dimension 3, expected 2" in err

@@ -25,9 +25,9 @@ conjugate prox and resolvent kernels ``kernel(gamma, z)`` take a float
 positive floats for a stack; the result has the shape of ``z``.  Kernels
 validate nothing and do not check that their output is finite; the one
 exception is the rescaled point of the flipped kernels (:func:`_flipped`).
-Burg's and Shannon's proxes and gaps (:func:`_elementwise`) and the
-rotator's resolvent are one formula on Python floats each, which every
-point goes through, alone or in a stack, and which raises no warning.
+Burg's and Shannon's proxes, conjugate proxes and gaps and the rotator's
+resolvent (:func:`_pointwise`) are one formula on Python floats each, which
+every point goes through, alone or in a stack, and which raises no warning.
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
 and ``resolvent`` are the kernels behind one ``as_vector`` call, and the
 last three reject a gamma that is not positive and finite before it (see
@@ -45,6 +45,7 @@ from the conjugate); its default kernel is the resolvent flip.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -102,22 +103,27 @@ def _validated(kernel, dim, name):
     return call
 
 
-def _elementwise(scalar_map):
-    """The kernel of a one-dimensional map given on Python floats.
+# kernel -> its formula (see _pointwise); a wrapped kernel has no entry
+_FORMULAS = weakref.WeakKeyDictionary()
 
-    Every element, of one point or of a stack, goes through
-    ``scalar_map(gamma, s)`` on Python floats, which keeps ``math``'s
-    results bit for bit, raises no numpy warning and costs less per point
-    than a chain of numpy calls on one-element arrays.  One point at a
-    float gamma skips the broadcast.
+
+def _pointwise(formula):
+    """The kernel of ``formula(gamma, *z)``, which maps the coordinates of one
+    point to those of the result on Python floats (one coordinate as a float).
+
+    Every point, alone or in a stack, goes through the formula: ``math``'s
+    results bit for bit, no numpy warning, and less time per point than numpy
+    calls on tiny arrays.  ``_FORMULAS`` records it, for the cyclic series.
     """
 
     def kernel(gamma, z):
-        if z.shape == (1,) and type(gamma) is float:
-            return np.array([scalar_map(gamma, z.item())])
-        gammas = np.broadcast_to(gamma, z.shape).ravel().tolist()
-        return np.array(list(map(scalar_map, gammas, z.ravel().tolist()))).reshape(z.shape)
+        if z.ndim == 1 and type(gamma) is float:
+            return np.array(formula(gamma, *z.tolist()), ndmin=1)
+        gammas = np.broadcast_to(gamma, z.shape)[..., 0].ravel().tolist()
+        rows = map(formula, gammas, *z.reshape(-1, z.shape[-1]).T.tolist())
+        return np.array(list(rows)).reshape(z.shape)
 
+    _FORMULAS[kernel] = formula
     return kernel
 
 
@@ -499,13 +505,8 @@ def make_burg():
             return p - 1.0 - (math.log(s) + math.log(-t))
         return (p - 1.0) - math.log1p(p - 1.0)
 
-    prox_kernel = _elementwise(scalar_prox)
-
     def conjugate_kernel(x_star):
         return value_kernel(-x_star) - 1.0
-
-    def conjugate_prox_kernel(sigma, t):
-        return -prox_kernel(sigma, -t)
 
     def gradient(x):
         s = as_vector(x, 1, "x")[0]
@@ -519,9 +520,9 @@ def make_burg():
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
         gap_kernel=_elementwise_gap(scalar_gap),
-        prox_kernel=prox_kernel,
+        prox_kernel=_pointwise(scalar_prox),
         gradient=gradient,
-        conjugate_prox_kernel=conjugate_prox_kernel,
+        conjugate_prox_kernel=_pointwise(lambda sigma, t: -scalar_prox(sigma, -t)),
         subdiff_domain=_POSITIVE,
         subdiff_range=_NEGATIVE,
     )
@@ -581,9 +582,6 @@ def make_shannon():
             return s * d * d * (0.5 + d * (1 / 6 + d * (1 / 24 + d * (1 / 120 + d / 720))))
         return s * (math.expm1(d) - d)
 
-    prox_kernel = _elementwise(scalar_prox)
-    conjugate_prox_kernel = _elementwise(scalar_conjugate_prox)
-
     def gradient(x):
         s = as_vector(x, 1, "x")[0]
         if s <= 0.0:
@@ -596,9 +594,9 @@ def make_shannon():
         value_kernel=value_kernel,
         conjugate_kernel=conjugate_kernel,
         gap_kernel=_elementwise_gap(scalar_gap),
-        prox_kernel=prox_kernel,
+        prox_kernel=_pointwise(scalar_prox),
         gradient=gradient,
-        conjugate_prox_kernel=conjugate_prox_kernel,
+        conjugate_prox_kernel=_pointwise(scalar_conjugate_prox),
         subdiff_domain=_POSITIVE,
         subdiff_range=_ALL,
     )
@@ -634,13 +632,6 @@ def make_rotator():
         e = 1.0 / gamma + gamma
         return (z1 / gamma + z2) / e, (z2 / gamma - z1) / e
 
-    def resolvent(gamma, z):
-        if type(gamma) is float and z.ndim == 1:
-            return np.array(turn(gamma, *z.tolist()))
-        gammas = np.broadcast_to(gamma, z.shape)[..., 0].ravel().tolist()
-        rows = map(turn, gammas, *z.reshape(-1, 2).T.tolist())
-        return np.array(list(rows)).reshape(z.shape)
-
     def graph_kernel(x, x_star):
         turned = np.stack((-x[..., 1], x[..., 0]), axis=-1)
         return within_membership(row_norm(turned - x_star), x, x_star)
@@ -651,12 +642,14 @@ def make_rotator():
     rotator = Operator(
         name="rotator",
         dim=2,
-        resolvent_kernel=resolvent,
+        resolvent_kernel=_pointwise(turn),
         graph_kernel=graph_kernel,
         dom=_ALL,
         ran=_ALL,
         fitzpatrick_gap=fitz_gap,
-        inverse_factory=lambda: _generic_inverse(rotator, lambda mu, w: resolvent(-mu, w)),
+        inverse_factory=lambda: _generic_inverse(
+            rotator, _pointwise(lambda mu, w1, w2: turn(-mu, w1, w2))
+        ),
     )
     return rotator
 

@@ -14,12 +14,16 @@ series is dominated by the Fenchel-Young gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .bounds import _carlier
+from .catalog import _FORMULAS
 from .core import as_gamma, as_pairs, as_vector, inner
+
+_NON_FINITE_Z = "z = x + gamma*a_star has non-finite entries in the cyclic recursion"
 
 
 @dataclass(frozen=True)
@@ -95,37 +99,24 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     step k that returns a_{k-p}* for p = 1 (a fixed point) or p = 2 (a
     2-cycle) stops the loop, and the remaining rows repeat rows
     k + 1 - p .. k in turn.  A ``values=`` schedule never stops early.
+
+    The steps run on Python floats, z checked on each, for a resolvent
+    kernel built from one formula on them (Burg's and Shannon's proxes and
+    conjugate proxes, the rotator and its inverse), else on arrays, z
+    checked after the loop; both give the same bits and no numpy warning.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
     gammas = schedule.resolve(n_terms)
     constant = schedule.constant is not None
 
-    resolvent = A.resolvent_kernel
-    a = np.empty((n_terms, A.dim))
-    a_star = np.empty((n_terms, A.dim))
-    prev = x_star
-    # raw bytes of the last two a*, so that -0.0 and 0.0 count as different
-    last, before = prev.tobytes(), None
-    for k, gamma in enumerate(gammas.tolist()):
-        z = x + gamma * prev
-        ak = resolvent(gamma, z)
-        sk = (z - ak) / gamma
-        a[k] = ak
-        a_star[k] = sk
-        if constant:
-            key = sk.tobytes()
-            if key in (last, before):
-                p = 1 if key == last else 2
-                for rows in (a, a_star):
-                    rows[k + 1:] = np.resize(rows[k + 1 - p:k + 1], rows[k + 1:].shape)
-                break
-            last, before = key, last
-        prev = sk
-    # A non-finite z_k makes a_k* non-finite and a non-finite a_k* makes
-    # z_{k+1} non-finite, so this is the finiteness check of every z_k.
-    if not (np.isfinite(z).all() and np.isfinite(a_star[:-1]).all()):
-        raise ValueError("z = x + gamma*a_star has non-finite entries in the cyclic recursion")
+    a, a_star = np.empty((2, n_terms, A.dim))
+    formula = _FORMULAS.get(A.resolvent_kernel)
+    steps, kernel = (_float_steps, formula) if formula else (_array_steps, A.resolvent_kernel)
+    taken, period = steps(kernel, x, x_star, gammas.tolist(), constant, a, a_star)
+    for rows in (a, a_star):
+        for j in range(period):  # row taken + i repeats row taken - period + i % period
+            rows[taken + j::period] = rows[taken - period + j]
 
     terms = _carlier(x, a, gammas[:, None])
     return CyclicSequence(
@@ -137,6 +128,62 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
         terms=terms,
         partial_sums=np.cumsum(terms),
     )
+
+
+def _array_steps(resolvent, x, x_star, gammas, constant, a, a_star):
+    """Fill rows of ``a`` and ``a_star`` on arrays; return (steps taken, period or 0)."""
+    prev, period = x_star, 0
+    # raw bytes of the last two a*, so that -0.0 and 0.0 count as different
+    last, before = prev.tobytes(), None
+    # a non-finite z is reported below, so its NaNs and overflows raise no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k, gamma in enumerate(gammas):
+            z = x + gamma * prev
+            ak = resolvent(gamma, z)
+            sk = (z - ak) / gamma
+            a[k] = ak
+            a_star[k] = sk
+            if constant:
+                key = sk.tobytes()
+                if key in (last, before):
+                    period = 1 if key == last else 2
+                    break
+                last, before = key, last
+            prev = sk
+    # A non-finite z_k makes a_k* non-finite and a non-finite a_k* makes
+    # z_{k+1} non-finite, so this is the finiteness check of every z_k.
+    if not (np.isfinite(z).all() and np.isfinite(a_star[:k]).all()):
+        raise ValueError(_NON_FINITE_Z)
+    return k + 1, period
+
+
+def _float_steps(formula, x, x_star, gammas, constant, a, a_star):
+    """:func:`_array_steps` on Python floats, with z checked on each step."""
+    xs, s = x.tolist(), x_star.tolist()
+    z, coords = list(xs), range(len(xs))
+    a_coords, a_star_coords = [], []  # coordinates of a_1, a_2, ... and of a_1*, a_2*, ...
+    last, before, period = s, None, 0
+    for gamma in gammas:
+        for i in coords:
+            z[i] = xs[i] + gamma * s[i]
+            if not isfinite(z[i]):
+                raise ValueError(_NON_FINITE_Z)
+        ak = formula(gamma, *z)
+        ak = (ak,) if type(ak) is float else ak
+        s = z[:]
+        for i in coords:
+            s[i] = (s[i] - ak[i]) / gamma
+        a_coords.extend(ak)
+        a_star_coords.extend(s)
+        # == finds the candidates; reprs, exact for floats, tell -0.0 from 0.0
+        if constant and (s == last or s == before):
+            period = 1 if repr(s) == repr(last) else 2 if repr(s) == repr(before) else 0
+            if period:
+                break
+        last, before = s, last
+    a.ravel()[:len(a_coords)] = a_coords
+    a_star.ravel()[:len(a_coords)] = a_star_coords
+    return len(a_coords) // len(xs), period
 
 
 def series_bound(A, x, x_star, schedule, n_terms):

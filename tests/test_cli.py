@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,28 @@ def test_series_rotator_spec_works(capsys):
     )
     assert code == 0
     assert "gap =" not in out  # no function entry, no gap line
+
+
+@pytest.mark.parametrize(
+    "spec, vector",
+    [
+        ("shannon", "1e308"),
+        ("burg", "1e308"),
+        ("energy:dim=1", "1e308"),
+        ("rotator", "1e308,1e308"),
+        ("subspace:dim=2:basis=1,0", "1e308,1e308"),
+    ],
+)
+def test_series_non_finite_z_is_one_error_line(capsys, spec, vector):
+    # z = x + 10 x* overflows at the first step, on Python floats and on arrays
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "series", "--spec", spec, "--x", vector, "--xstar", vector, "--gamma", "10"
+        )
+    assert code == 1
+    assert out == "" and not caught
+    assert err == "error: z = x + gamma*a_star has non-finite entries in the cyclic recursion\n"
 
 
 # ---------------------------------------------------------------- verify

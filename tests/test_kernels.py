@@ -9,10 +9,12 @@ conjugate-prox fallback.  A one-point call of a resolvent or gap kernel
 must equal a stack of one bit for bit, and neither may raise a warning.
 The drivers built on the kernels (gamma sweeps and the cyclic series,
 including its stops at a fixed point or a 2-cycle) are checked against
-plain loops over the public API.
+plain loops over the public API, and the cyclic series' loop on Python
+floats against its loop on arrays.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -366,6 +368,97 @@ def test_series_stops_at_a_two_cycle(burg):
     listed = generate_cyclic_sequence(counting, x, [x_star], listed_schedule, 51)
     assert len(calls) == 51
     _assert_same_series(listed, *_plain_series(op, x, [x_star], schedule.resolve(51)))
+
+
+# the entries whose resolvent kernel is one formula on Python floats, so that
+# their series run on Python floats
+FLOAT_LOOP = sorted(
+    name for name, op in OPERATORS.items() if op.resolvent_kernel in catalog._FORMULAS
+)
+
+
+def _loops(op, monkeypatch):
+    """``op`` with its formula's calls counted, the same operator with its
+    kernel wrapped as a tracer wraps it (so its series runs on arrays), and
+    the list of calls both append to."""
+    calls = []
+    formula = catalog._FORMULAS[op.resolvent_kernel]
+
+    def counted(gamma, *z):
+        calls.append(gamma)
+        return formula(gamma, *z)
+
+    @functools.wraps(op.resolvent_kernel)
+    def wrapped(gamma, z):
+        calls.append(gamma)
+        return op.resolvent_kernel(gamma, z)
+
+    monkeypatch.setitem(catalog._FORMULAS, op.resolvent_kernel, counted)
+    return op, dataclasses.replace(op, resolvent_kernel=wrapped), calls
+
+
+def _same_on_both_loops(loops, x, x_star, schedule, n):
+    """The series on Python floats and on arrays (see :func:`_loops`): the
+    same bytes and the same number of resolvent calls.  Returns the series
+    and that number."""
+    floats, arrays, calls = loops
+    calls.clear()
+    seq = generate_cyclic_sequence(floats, x, x_star, schedule, n)
+    steps = len(calls)
+    calls.clear()
+    want = generate_cyclic_sequence(arrays, x, x_star, schedule, n)
+    assert len(calls) == steps
+    for field in ("a", "a_star", "terms", "partial_sums"):
+        assert getattr(seq, field).tobytes() == getattr(want, field).tobytes()
+    return seq, steps
+
+
+def test_float_loop_entries():
+    # Burg, Shannon and the rotator, and their closed-form inverses
+    assert FLOAT_LOOP == [
+        "burg", "burg/closed-inverse", "rotator", "rotator/closed-inverse",
+        "shannon", "shannon/closed-inverse",
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", FLOAT_LOOP)
+def test_float_loop_matches_array_loop(name, rng, monkeypatch):
+    op = OPERATORS[name]
+    loops = _loops(op, monkeypatch)
+    n = 300
+    inputs = list(zip(_points(rng, op.dim, 4), _points(rng, op.dim, 4), _gammas(rng, 4)))
+    inputs += [(np.array([x]), np.array([x_star]), g) for x, x_star, g in TWO_CYCLES.get(name, ())]
+    for x, x_star, gamma in inputs:
+        _same_on_both_loops(loops, x, x_star, GammaSchedule.const(gamma), n)
+        # a values= schedule never stops early
+        schedule = GammaSchedule.from_values(_gammas(rng, n))
+        assert _same_on_both_loops(loops, x, x_star, schedule, n)[1] == n
+
+
+def test_float_loop_stops_on_bits(rotator, monkeypatch):
+    # a_1* = (0.0, 0.0) equals x* = (-0.0, -0.0) but differs in its bits, so
+    # the fixed point stops the loop at the second step
+    zero, minus_zero = np.array([0.0, 0.0]), np.array([-0.0, -0.0])
+    loops = _loops(rotator, monkeypatch)
+    seq, steps = _same_on_both_loops(loops, zero, minus_zero, GammaSchedule.const(2.0), 5)
+    assert steps == 2
+    assert seq.a_star.tobytes() == np.zeros((5, 2)).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_loop_last_step_edge(rotator, monkeypatch):
+    # the resolvent overflows at z = x: one step ends on a* = (-inf, -inf),
+    # whose next z is not finite
+    x, x_star, schedule = np.array([1.7e308, 1.7e308]), np.zeros(2), GammaSchedule.const(0.9)
+    loops = _loops(rotator, monkeypatch)
+    seq, _ = _same_on_both_loops(loops, x, x_star, schedule, 1)
+    assert seq.a.tolist() == [[np.inf, np.inf]]
+    assert seq.a_star.tolist() == [[-np.inf, -np.inf]]
+    assert seq.terms.tolist() == [np.inf]
+    for op in loops[:2]:
+        with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
+            generate_cyclic_sequence(op, x, x_star, schedule, 2)
 
 
 def test_sweep_raises_on_non_finite_z(energy2):

@@ -260,8 +260,9 @@ def _build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--xstar", required=True)
-    p.add_argument("--gamma", type=float, default=1.0, help="constant schedule")
-    p.add_argument("--gammas", default=None, help="explicit comma-separated schedule")
+    schedule = p.add_mutually_exclusive_group()
+    schedule.add_argument("--gamma", type=float, default=1.0, help="constant schedule")
+    schedule.add_argument("--gammas", default=None, help="explicit comma-separated schedule")
     p.add_argument("--n-terms", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=run_series)

@@ -24,6 +24,9 @@ from .catalog import _FORMULAS
 from .core import as_gamma, as_pairs, as_vector, inner
 
 _NON_FINITE_Z = "z = x + gamma*a_star has non-finite entries in the cyclic recursion"
+# the widest point whose series steps on Python floats: from 8 coordinates on
+# the array loop is as fast or faster (BENCH_series_low_dim.json)
+_FLOAT_DIM = 7
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,12 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     2-cycle) stops the loop, and the remaining rows repeat rows
     k + 1 - p .. k in turn.  A ``values=`` schedule never stops early.
 
-    The steps run on Python floats, z checked on each, for a resolvent
-    kernel built from one formula on them (Burg's and Shannon's proxes and
-    conjugate proxes, the rotator and its inverse), else on arrays, z
-    checked after the loop; both give the same bits and no numpy warning.
+    For A.dim <= 7 the steps run on Python floats, z checked on each, and
+    call the kernel's formula on floats where it has one (Burg, Shannon, the
+    rotator) or else the kernel on one point; wider points step on arrays, z
+    checked after the loop, as the float loop's cost grows with the dim and
+    the array loop's does not.  Both give the same bits, and no series
+    raises a numpy warning.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
@@ -111,14 +116,15 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     constant = schedule.constant is not None
 
     a, a_star = np.empty((2, n_terms, A.dim))
-    formula = _FORMULAS.get(A.resolvent_kernel)
-    steps, kernel = (_float_steps, formula) if formula else (_array_steps, A.resolvent_kernel)
-    taken, period = steps(kernel, x, x_star, gammas.tolist(), constant, a, a_star)
-    for rows in (a, a_star):
-        for j in range(period):  # row taken + i repeats row taken - period + i % period
-            rows[taken + j::period] = rows[taken - period + j]
-
-    terms = _carlier(x, a, gammas[:, None])
+    steps = _float_steps if A.dim <= _FLOAT_DIM else _array_steps
+    # a non-finite z is reported as such, and a last a* or a term may
+    # overflow, so NaNs and overflows raise no numpy warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        taken, period = steps(A.resolvent_kernel, x, x_star, gammas.tolist(), constant, a, a_star)
+        for rows in (a, a_star):
+            for j in range(period):  # row taken + i repeats row taken - period + i % period
+                rows[taken + j::period] = rows[taken - period + j]
+        terms = _carlier(x, a, gammas[:, None])
     return CyclicSequence(
         x=x,
         x_star=x_star,
@@ -135,21 +141,19 @@ def _array_steps(resolvent, x, x_star, gammas, constant, a, a_star):
     prev, period = x_star, 0
     # raw bytes of the last two a*, so that -0.0 and 0.0 count as different
     last, before = prev.tobytes(), None
-    # a non-finite z is reported below, so its NaNs and overflows raise no warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k, gamma in enumerate(gammas):
-            z = x + gamma * prev
-            ak = resolvent(gamma, z)
-            sk = (z - ak) / gamma
-            a[k] = ak
-            a_star[k] = sk
-            if constant:
-                key = sk.tobytes()
-                if key in (last, before):
-                    period = 1 if key == last else 2
-                    break
-                last, before = key, last
-            prev = sk
+    for k, gamma in enumerate(gammas):
+        z = x + gamma * prev
+        ak = resolvent(gamma, z)
+        sk = (z - ak) / gamma
+        a[k] = ak
+        a_star[k] = sk
+        if constant:
+            key = sk.tobytes()
+            if key in (last, before):
+                period = 1 if key == last else 2
+                break
+            last, before = key, last
+        prev = sk
     # A non-finite z_k makes a_k* non-finite and a non-finite a_k* makes
     # z_{k+1} non-finite, so this is the finiteness check of every z_k.
     if not (np.isfinite(z).all() and np.isfinite(a_star[:k]).all()):
@@ -157,8 +161,12 @@ def _array_steps(resolvent, x, x_star, gammas, constant, a, a_star):
     return k + 1, period
 
 
-def _float_steps(formula, x, x_star, gammas, constant, a, a_star):
-    """:func:`_array_steps` on Python floats, with z checked on each step."""
+def _float_steps(resolvent, x, x_star, gammas, constant, a, a_star):
+    """:func:`_array_steps` on Python floats, with z checked on each step.
+
+    A step calls the kernel's recorded formula, else the kernel on one point.
+    """
+    formula = _FORMULAS.get(resolvent) or (lambda gamma, *z: resolvent(gamma, np.array(z)).tolist())
     xs, s = x.tolist(), x_star.tolist()
     z, coords = list(xs), range(len(xs))
     a_coords, a_star_coords = [], []  # coordinates of a_1, a_2, ... and of a_1*, a_2*, ...

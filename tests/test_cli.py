@@ -447,6 +447,17 @@ def test_series_schedule_too_short_exits_1(capsys):
     assert "supplies 2 values but 5 terms" in err
 
 
+def test_series_gamma_with_gammas_exits_1(capsys):
+    # the constant step is not dropped in silence for the explicit schedule
+    code, out, err = run_cli(
+        capsys,
+        "series", "--spec", "burg", "--x", "1", "--xstar", "-0.5",
+        "--gamma", "5", "--gammas", "1,2", "--n-terms", "2",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: argument --gammas: not allowed with argument --gamma\n"
+
+
 def test_series_rotator_spec_works(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -19,12 +19,12 @@ import functools
 import numpy as np
 import pytest
 
-from proxgap import catalog
+from proxgap import catalog, cyclic
 from proxgap.analysis import gamma_sweep
 from proxgap.bounds import carlier_bound
 from proxgap.catalog import conjugate_function, subdifferential_operator
 from proxgap.core import MEMBERSHIP_TOL
-from proxgap.cyclic import GammaSchedule, generate_cyclic_sequence
+from proxgap.cyclic import GammaSchedule, generate_cyclic_sequence, series_bound
 
 ULPS = 4
 ROWS = 200
@@ -371,46 +371,74 @@ def test_series_stops_at_a_two_cycle(burg):
 
 
 # the entries whose resolvent kernel is one formula on Python floats, so that
-# their series run on Python floats
+# their series steps call it on Python floats
 FLOAT_LOOP = sorted(
     name for name, op in OPERATORS.items() if op.resolvent_kernel in catalog._FORMULAS
 )
 
 
+def _low_dim_operators():
+    """Every entry of at most ``cyclic._FLOAT_DIM`` coordinates, whose series
+    runs on Python floats: those of :data:`OPERATORS` and the energies and
+    subspaces of a few more dims, each with its closed-form and generic
+    inverses."""
+    ops = {name: op for name, op in OPERATORS.items() if op.dim <= cyclic._FLOAT_DIM}
+    specs = [f"energy:dim={dim}" for dim in range(1, cyclic._FLOAT_DIM + 1)]
+    specs += ["subspace:dim=2:basis=1,0", "subspace:dim=2:basis=1,1"]
+    for spec in specs:
+        op = subdifferential_operator(catalog.parse_spec(spec))
+        ops[spec] = op
+        ops[f"{spec}/closed-inverse"] = op.inverse()
+        ops[f"{spec}/generic-inverse"] = dataclasses.replace(op, inverse_factory=None).inverse()
+    return ops
+
+
+LOW_DIM = _low_dim_operators()
+
+
 def _loops(op, monkeypatch):
-    """``op`` with its formula's calls counted, the same operator with its
-    kernel wrapped as a tracer wraps it (so its series runs on arrays), and
-    the list of calls both append to."""
+    """The kernels the two loops of ``op``'s series get, with their calls
+    counted: on Python floats the kernel itself (through its formula, if it
+    has one, else on one point), on arrays the kernel wrapped as a tracer
+    wraps it; and the list of calls both append to."""
     calls = []
-    formula = catalog._FORMULAS[op.resolvent_kernel]
+    kernel = op.resolvent_kernel
+
+    @functools.wraps(kernel)
+    def wrapped(gamma, z):
+        calls.append(gamma)
+        return kernel(gamma, z)
+
+    formula = catalog._FORMULAS.get(kernel)
+    if formula is None:
+        return wrapped, wrapped, calls
 
     def counted(gamma, *z):
         calls.append(gamma)
         return formula(gamma, *z)
 
-    @functools.wraps(op.resolvent_kernel)
-    def wrapped(gamma, z):
-        calls.append(gamma)
-        return op.resolvent_kernel(gamma, z)
-
-    monkeypatch.setitem(catalog._FORMULAS, op.resolvent_kernel, counted)
-    return op, dataclasses.replace(op, resolvent_kernel=wrapped), calls
+    monkeypatch.setitem(catalog._FORMULAS, kernel, counted)
+    return kernel, wrapped, calls
 
 
 def _same_on_both_loops(loops, x, x_star, schedule, n):
-    """The series on Python floats and on arrays (see :func:`_loops`): the
-    same bytes and the same number of resolvent calls.  Returns the series
-    and that number."""
+    """``cyclic._float_steps`` and ``cyclic._array_steps`` on the kernels of
+    :func:`_loops`: the same steps, period, bytes of every filled row and
+    number of resolvent calls.  Returns the filled rows of a* and that
+    number."""
     floats, arrays, calls = loops
-    calls.clear()
-    seq = generate_cyclic_sequence(floats, x, x_star, schedule, n)
-    steps = len(calls)
-    calls.clear()
-    want = generate_cyclic_sequence(arrays, x, x_star, schedule, n)
-    assert len(calls) == steps
-    for field in ("a", "a_star", "terms", "partial_sums"):
-        assert getattr(seq, field).tobytes() == getattr(want, field).tobytes()
-    return seq, steps
+    x, x_star = np.asarray(x, dtype=float), np.asarray(x_star, dtype=float)
+    gammas, constant = schedule.resolve(n).tolist(), schedule.constant is not None
+    runs = []
+    for steps, kernel in ((cyclic._float_steps, floats), (cyclic._array_steps, arrays)):
+        calls.clear()
+        a, a_star = np.empty((2, n, x.size))
+        # as generate_cyclic_sequence runs them
+        with np.errstate(invalid="ignore", over="ignore"):
+            taken, period = steps(kernel, x, x_star, gammas, constant, a, a_star)
+        runs.append((taken, period, a[:taken].tobytes(), a_star[:taken].tobytes(), len(calls)))
+    assert runs[0] == runs[1]
+    return a_star[:taken], len(calls)
 
 
 def test_float_loop_entries():
@@ -421,19 +449,39 @@ def test_float_loop_entries():
     ]
 
 
+def test_series_loop_is_chosen_by_dim(monkeypatch):
+    # up to cyclic._FLOAT_DIM coordinates the series steps on Python floats,
+    # past it on arrays
+    taken = []
+    for name in ("_float_steps", "_array_steps"):
+        steps = getattr(cyclic, name)
+        monkeypatch.setattr(
+            cyclic, name, lambda *args, name=name, steps=steps: taken.append(name) or steps(*args)
+        )
+    for dim in (1, cyclic._FLOAT_DIM, cyclic._FLOAT_DIM + 1, 64):
+        op = subdifferential_operator(catalog.make_energy(dim))
+        generate_cyclic_sequence(op, np.ones(dim), np.zeros(dim), GammaSchedule.const(1.0), 3)
+    assert taken == ["_float_steps", "_float_steps", "_array_steps", "_array_steps"]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", FLOAT_LOOP)
+@pytest.mark.parametrize("name", sorted(LOW_DIM))
 def test_float_loop_matches_array_loop(name, rng, monkeypatch):
-    op = OPERATORS[name]
+    op = LOW_DIM[name]
     loops = _loops(op, monkeypatch)
+    floats, arrays, calls = loops
     n = 300
     inputs = list(zip(_points(rng, op.dim, 4), _points(rng, op.dim, 4), _gammas(rng, 4)))
     inputs += [(np.array([x]), np.array([x_star]), g) for x, x_star, g in TWO_CYCLES.get(name, ())]
+    inputs.append((np.full(op.dim, -0.0), np.zeros(op.dim), 1.0))
+    # a kernel with a formula also steps on one point, as when a tracer wraps it
+    both_ways = [loops] if floats is arrays else [loops, (arrays, arrays, calls)]
     for x, x_star, gamma in inputs:
-        _same_on_both_loops(loops, x, x_star, GammaSchedule.const(gamma), n)
-        # a values= schedule never stops early
-        schedule = GammaSchedule.from_values(_gammas(rng, n))
-        assert _same_on_both_loops(loops, x, x_star, schedule, n)[1] == n
+        for both in both_ways:
+            _same_on_both_loops(both, x, x_star, GammaSchedule.const(gamma), n)
+            # a values= schedule never stops early
+            schedule = GammaSchedule.from_values(_gammas(rng, n))
+            assert _same_on_both_loops(both, x, x_star, schedule, n)[1] == n
 
 
 def test_float_loop_stops_on_bits(rotator, monkeypatch):
@@ -441,8 +489,10 @@ def test_float_loop_stops_on_bits(rotator, monkeypatch):
     # the fixed point stops the loop at the second step
     zero, minus_zero = np.array([0.0, 0.0]), np.array([-0.0, -0.0])
     loops = _loops(rotator, monkeypatch)
-    seq, steps = _same_on_both_loops(loops, zero, minus_zero, GammaSchedule.const(2.0), 5)
+    a_star, steps = _same_on_both_loops(loops, zero, minus_zero, GammaSchedule.const(2.0), 5)
     assert steps == 2
+    assert a_star.tobytes() == np.zeros((2, 2)).tobytes()
+    seq = generate_cyclic_sequence(rotator, zero, minus_zero, GammaSchedule.const(2.0), 5)
     assert seq.a_star.tobytes() == np.zeros((5, 2)).tobytes()
 
 
@@ -452,13 +502,33 @@ def test_float_loop_last_step_edge(rotator, monkeypatch):
     # whose next z is not finite
     x, x_star, schedule = np.array([1.7e308, 1.7e308]), np.zeros(2), GammaSchedule.const(0.9)
     loops = _loops(rotator, monkeypatch)
-    seq, _ = _same_on_both_loops(loops, x, x_star, schedule, 1)
+    a_star, _ = _same_on_both_loops(loops, x, x_star, schedule, 1)
+    assert a_star.tolist() == [[-np.inf, -np.inf]]
+    seq = generate_cyclic_sequence(rotator, x, x_star, schedule, 1)
     assert seq.a.tolist() == [[np.inf, np.inf]]
-    assert seq.a_star.tolist() == [[-np.inf, -np.inf]]
     assert seq.terms.tolist() == [np.inf]
-    for op in loops[:2]:
-        with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
-            generate_cyclic_sequence(op, x, x_star, schedule, 2)
+    for steps, kernel in ((cyclic._float_steps, loops[0]), (cyclic._array_steps, loops[1])):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
+                steps(kernel, x, x_star, [0.9, 0.9], True, *np.empty((2, 2, 2)))
+    with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
+        generate_cyclic_sequence(rotator, x, x_star, schedule, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_series_overflowing_terms_do_not_warn(energy2):
+    # ||x - a_k||^2 overflows in every term; the steps stay finite
+    A = subdifferential_operator(energy2)
+    total, terms = series_bound(A, [1e308, 1e308], [0.0, 0.0], GammaSchedule.const(0.5), 3)
+    assert terms == [np.inf] * 3 and total == np.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_series_overflowing_projection_raises_only_the_recursion_error():
+    # P z overflows at the first step, so the next z is not finite
+    A = subdifferential_operator(catalog.parse_spec("subspace:dim=3:basis=1,0,0;0,1,1"))
+    with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
+        series_bound(A, [0.0, 1.7e308, 1.7e308], np.zeros(3), GammaSchedule.const(0.5), 3)
 
 
 def test_sweep_raises_on_non_finite_z(energy2):

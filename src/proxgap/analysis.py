@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bounds import _carlier, bregman_distance, carlier_bound
+from .bounds import _carlier, _minty, bregman_distance, carlier_bound
 from .catalog import make_burg, make_shannon, subdifferential_operator
 from .core import as_gamma, as_vector
 from .lambertw import lambert_w_exp
@@ -70,7 +70,7 @@ class SweepResult:
 def gamma_sweep(A, x, x_star, lo=1e-6, hi=1e6, count=49):
     """Evaluate C_{A,gamma}(x, x*) on a log-spaced gamma grid.
 
-    The whole grid goes through one call of the resolvent kernel.
+    The whole grid goes through one ``bounds._minty`` call on the resolvent kernel.
     Classifies both grid ends: convergence when the five values nearest
     the end have range below 1e-6*(1+|v|), divergence when they exceed
     1e9 moving upward toward the end, undetermined otherwise.
@@ -84,12 +84,7 @@ def gamma_sweep(A, x, x_star, lo=1e-6, hi=1e6, count=49):
 
     gammas = np.logspace(math.log10(lo), math.log10(hi), count)
     column = gammas[:, None]
-    z = x + column * x_star
-    finite = np.isfinite(z).all(axis=1)
-    if not finite.all():
-        bad = float(gammas[~finite][0])
-        raise ValueError(f"z = x + gamma*x_star has non-finite entries at gamma = {bad!r}")
-    values = _carlier(x, A.resolvent_kernel(column, z), column)
+    values = _carlier(x, _minty(A.resolvent_kernel, column, x, x_star)[1], column)
     idx = int(np.argmax(values))
 
     return SweepResult(

@@ -15,10 +15,11 @@ first three rows against the last three, ``row_norm`` takes all six, and
 :func:`~proxgap.core.within_tolerance` decides each flag on their floats.
 
 Each public function validates its inputs once and hands the validated
-arrays to the private helpers below, which trust them.  ``_minty`` gives
-z = x + gamma x* and a = J(z) from the public prox or resolvent, whose
-``as_vector`` call is the one check of z.  ``_carlier`` is row-wise: one
-point with a float gamma, or an ``(m, dim)`` stack with an ``(m, 1)`` column.
+arrays to the private helpers below, which trust them.  ``_minty``, the
+one place that forms a Minty point z = x + gamma x* and checks it finite,
+gives z and J(z) from the resolvent or kernel it is passed.  ``_minty`` and
+``_carlier`` are row-wise: one point with a float gamma, or an ``(m, dim)``
+stack with an ``(m, 1)`` column.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, inner, row_norm, within_tolerance
+from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, check_finite, inner, row_norm
+from .core import within_tolerance
 
 
 def gap(f, x, x_star):
@@ -43,12 +45,10 @@ def gap(f, x, x_star):
 def carlier_bound(A, gamma, x, x_star):
     """C_{A,gamma}(x, x*) = ||x - J_{gamma A}(x + gamma x*)||^2 / gamma.
 
-    Finite and nonnegative for every (x, x*) whenever the resolvent is
-    everywhere defined, which holds for all catalog operators.
+    Nonnegative; +inf where the quotient overflows, as for the subspace of
+    basis (1, 1) at gamma = 1e-320, x = (1, 2) and x* = (0.5, -1).
     """
-    gamma = as_gamma(gamma)
-    x = as_vector(x, A.dim, "x")
-    x_star = as_vector(x_star, A.dim, "x_star")
+    gamma, x, x_star = _query(A.dim, gamma, x, x_star)
     return float(_carlier(x, _minty(A.resolvent, gamma, x, x_star)[1], gamma))
 
 
@@ -69,15 +69,18 @@ class MintyPair:
 
 def minty_decompose(A, gamma, x, x_star):
     """Resolve (x, x*) into its Minty graph point at parameter gamma."""
-    gamma = as_gamma(gamma)
-    x = as_vector(x, A.dim, "x")
-    x_star = as_vector(x_star, A.dim, "x_star")
+    gamma, x, x_star = _query(A.dim, gamma, x, x_star)
     z, a = _minty(A.resolvent, gamma, x, x_star)
     return MintyPair(x=x, x_star=x_star, gamma=gamma, a=a, a_star=(z - a) / gamma)
 
 
+def _query(dim, gamma, x, x_star):
+    """gamma, x and x* of a one-point call, validated in that order."""
+    return as_gamma(gamma), as_vector(x, dim, "x"), as_vector(x_star, dim, "x_star")
+
+
 def _minty(resolvent, gamma, x, x_star):
-    z = x + gamma * x_star
+    z = check_finite(x + gamma * x_star, "z")
     return z, resolvent(gamma, z)
 
 
@@ -94,9 +97,7 @@ def dual_carlier_check(A, gamma, x, x_star):
     the catalog provides them), not by rearranging the left side.
     Returns (lhs, rhs).
     """
-    gamma = as_gamma(gamma)
-    x = as_vector(x, A.dim, "x")
-    x_star = as_vector(x_star, A.dim, "x_star")
+    gamma, x, x_star = _query(A.dim, gamma, x, x_star)
     _, a = _minty(A.resolvent, gamma, x, x_star)
     mu = as_gamma(1.0 / gamma, "1/gamma")
     _, b = _minty(A.inverse().resolvent, mu, x_star, x)
@@ -169,9 +170,7 @@ class BoundReport:
 
 def bound_report(f, gamma, x, x_star):
     """Evaluate gap, Fitzpatrick gap, and Carlier bound at one query."""
-    gamma = as_gamma(gamma)
-    x = as_vector(x, f.dim, "x")
-    x_star = as_vector(x_star, f.dim, "x_star")
+    gamma, x, x_star = _query(f.dim, gamma, x, x_star)
 
     z, a = _minty(f.prox, gamma, x, x_star)
     # the gaps at (x, x*) and, for the sharpness test, at (a, x*) and (x, a*),

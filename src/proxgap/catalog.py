@@ -31,9 +31,9 @@ every point goes through, alone or in a stack, and which raises no warning.
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
 and ``resolvent`` are the kernels behind one ``as_vector`` call, and the
 last three reject a gamma that is not positive and finite before it (see
-:func:`_evaluated` and :func:`_validated`); code that holds validated
-arrays, and drivers that check finiteness of their stacked inputs
-themselves, call the kernels directly.
+:func:`_evaluated` and :func:`_validated`); code that holds checked arrays,
+such as the Minty points of :func:`proxgap.bounds._minty` and of the
+cyclic series, calls the kernels directly.
 
 Each formula is written once: Burg's conjugate and conjugate prox are
 derived exactly from its value and prox, and the rotator's inverse
@@ -621,16 +621,21 @@ def make_rotator():
     other way, A^{-1} = -A, so J_{mu A^{-1}} is the resolvent at gamma = -mu.
     Every point, alone or in a stack, goes through one formula on Python
     floats, which raises no warning: where 1 + gamma^2 or either coordinate
-    is not finite, the row is divided through by gamma.
+    is not finite, the row is divided through by gamma, and where that
+    overflows too, both forms run again at z/4 (once: z may be inf), scaled by 4.
     """
 
-    def turn(gamma, z1, z2):
+    def turn(gamma, z1, z2, top=True):
         d = 1.0 + gamma * gamma
         a1, a2 = (z1 + z2 * gamma) / d, (z2 + z1 * -gamma) / d
         if math.isfinite(d) and math.isfinite(a1) and math.isfinite(a2):
             return a1, a2
         e = 1.0 / gamma + gamma
-        return (z1 / gamma + z2) / e, (z2 / gamma - z1) / e
+        a1, a2 = (z1 / gamma + z2) / e, (z2 / gamma - z1) / e
+        if math.isfinite(a1) and math.isfinite(a2) or not top:
+            return a1, a2
+        a1, a2 = turn(gamma, z1 / 4.0, z2 / 4.0, False)
+        return 4.0 * a1, 4.0 * a2
 
     def graph_kernel(x, x_star):
         turned = np.stack((-x[..., 1], x[..., 0]), axis=-1)

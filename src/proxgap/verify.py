@@ -10,11 +10,12 @@ The suites evaluate stacks.  Each catalog entry draws all of its inputs
 as one block, in the order a loop over single points would draw them,
 repeats each point once per gamma of ``GAMMA_SET`` against an ``(m, 1)``
 gamma column, and makes one row-wise call per quantity: the ``bounds``
-helpers, the catalog kernels, one inverse per operator and one shared
-grid for the oracle's conjugate queries.  Every check, tolerance and
-finiteness check of the per-point loops is kept, so the counts and the
-failure messages are theirs; a message is formatted only for a failure
-that gets reported, from the public per-point call where there is one.
+helpers (``_minty`` for every Minty point), the catalog kernels, one
+inverse per operator and one shared grid for the oracle's conjugate
+queries.  Every check, tolerance and finiteness check of the per-point
+loops is kept, so the counts and the failure messages are theirs; a message
+is formatted only for a failure that gets reported, from the public
+per-point call where there is one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _carlier, bound_report, chain_links, dual_carlier_check
+from .bounds import _carlier, _minty, bound_report, chain_links, dual_carlier_check
 from .bounds import pair_inequality_check
 from .catalog import (
     make_burg,
@@ -128,7 +129,7 @@ def run_chain_suite(rng, slack=None):
         draws = rng.normal(size=(50, 2, f.dim))
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
         g = f.gap_kernel(x, x_star)
-        c = _carlier(x, f.prox_kernel(gamma, check_finite(x + gamma * x_star, "z")), gamma)
+        c = _carlier(x, _minty(f.prox_kernel, gamma, x, x_star)[1], gamma)
         fitz = None if f.fitzpatrick_gap is None else f.fitzpatrick_gap(x, x_star)
         fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
         ok = fitz_ok & capped & nonnegative
@@ -150,10 +151,9 @@ def run_duality_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(40, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        lhs = _carlier(x, A.resolvent_kernel(gamma, check_finite(x + gamma * x_star, "z")), gamma)
+        lhs = _carlier(x, _minty(A.resolvent_kernel, gamma, x, x_star)[1], gamma)
         mu = 1.0 / gamma
-        w = check_finite(x_star + mu * x, "z")
-        rhs = _carlier(x_star, A.inverse().resolvent_kernel(mu, w), mu)
+        rhs = _carlier(x_star, _minty(A.inverse().resolvent_kernel, mu, x_star, x)[1], mu)
         ok = np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs))
 
         def message(r):
@@ -178,8 +178,8 @@ def run_minty_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(20, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        z = x + gamma * x_star
-        a = check_finite(A.resolvent_kernel(gamma, check_finite(z, "z")), "a")
+        z, a = _minty(A.resolvent_kernel, gamma, x, x_star)
+        check_finite(a, "a")
         a_star = check_finite((z - a) / gamma, "a_star")
 
         m3 = np.max(np.abs(z - (a + gamma * a_star)), axis=1)

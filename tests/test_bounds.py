@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proxgap import bounds, catalog
+from proxgap.analysis import gamma_sweep
 from proxgap.bounds import (
     BoundReport,
     bound_report,
@@ -176,6 +177,33 @@ def test_dual_carlier_graph_point(energy2):
     A = subdifferential_operator(energy2)
     lhs, rhs = dual_carlier_check(A, 2.0, X1, X1)
     assert lhs <= 1e-18 and rhs <= 1e-18
+
+
+HUGE = [1e308, 0.0]
+
+
+# every caller of bounds._minty outside ``verify``, whose suites draw normal
+# points at gamma <= 100 and so never form a non-finite Minty point
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda f, A: dual_carlier_check(A, 1.0, HUGE, HUGE), id="duality-left"),
+        pytest.param(lambda f, A: bound_report(f, 1.0, HUGE, HUGE), id="bound_report"),
+        pytest.param(lambda f, A: carlier_bound(A, 1.0, HUGE, HUGE), id="carlier_bound"),
+        pytest.param(lambda f, A: minty_decompose(A, 1.0, HUGE, HUGE), id="minty_decompose"),
+        # x + gamma x* = 1e300 is finite, x* + x / gamma is not
+        pytest.param(
+            lambda f, A: dual_carlier_check(A, 1e-10, [1e300, 0.0], [0.0, 0.0]),
+            id="duality-right",
+        ),
+        # z overflows at gamma = 3162.2776601683795 of the default grid
+        pytest.param(lambda f, A: gamma_sweep(A, [1.0, 0.0], [1e305, 0.0]), id="gamma_sweep"),
+    ],
+)
+def test_overflowing_minty_point_has_one_message(energy2, call):
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^z has non-finite entries"):
+            call(energy2, subdifferential_operator(energy2))
 
 
 # ----------------------------------------------------------- fitzpatrick

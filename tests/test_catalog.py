@@ -560,3 +560,18 @@ def test_rotator_resolvent_finite_where_gamma_overflows(rotator):
     assert rows[1].tolist() == rotator.resolvent(0.5, z[1]).tolist()
     # the public resolvent takes gamma > 0; the kernel at -3 is the inverse's at 3
     assert rows[2].tolist() == rotator.inverse().resolvent(3.0, z[2]).tolist()
+
+
+# z1 + gamma z2 and z1 / gamma both overflow near the float limit; the two
+# forms run again at z/4 and the result is scaled back by 4
+@pytest.mark.filterwarnings("error")
+def test_rotator_resolvent_finite_where_both_forms_overflow(rotator):
+    z, gamma = [1.7e308, 1.7e308], 0.9
+    with mpmath.workdps(50):
+        g, z1, z2 = (mpmath.mpf(v) for v in (gamma, *z))
+        ref = [float(c / (1 + g * g)) for c in (z1 + g * z2, z2 - g * z1)]
+    # the small coordinate cancels in z2 - gamma z1, as at finite points
+    assert ref == [1.7845303867403314e308, 9.392265193370163e306]
+    assert rotator.resolvent(gamma, z).tolist() == pytest.approx(ref, rel=1e-15)
+    # the inverse's resolvent is the turn the other way: the coordinates swap
+    assert rotator.inverse().resolvent(gamma, z).tolist() == pytest.approx(ref[::-1], rel=1e-15)

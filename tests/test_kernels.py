@@ -498,19 +498,20 @@ def test_float_loop_stops_on_bits(rotator, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_float_loop_last_step_edge(rotator, monkeypatch):
-    # the resolvent overflows at z = x: one step ends on a* = (-inf, -inf),
-    # whose next z is not finite
-    x, x_star, schedule = np.array([1.7e308, 1.7e308]), np.zeros(2), GammaSchedule.const(0.9)
+    # the resolvent at z = x is (1.2, 0.4) * 1.7e308, past the float range in
+    # its first coordinate: one step ends on a* = (-inf, inf), whose next z
+    # is not finite
+    x, x_star, schedule = np.array([1.7e308, 1.7e308]), np.zeros(2), GammaSchedule.const(0.5)
     loops = _loops(rotator, monkeypatch)
     a_star, _ = _same_on_both_loops(loops, x, x_star, schedule, 1)
-    assert a_star.tolist() == [[-np.inf, -np.inf]]
+    assert a_star.tolist() == [[-np.inf, np.inf]]
     seq = generate_cyclic_sequence(rotator, x, x_star, schedule, 1)
-    assert seq.a.tolist() == [[np.inf, np.inf]]
+    assert seq.a.tolist() == [[np.inf, 6.8e307]]
     assert seq.terms.tolist() == [np.inf]
     for steps, kernel in ((cyclic._float_steps, loops[0]), (cyclic._array_steps, loops[1])):
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
-                steps(kernel, x, x_star, [0.9, 0.9], True, *np.empty((2, 2, 2)))
+                steps(kernel, x, x_star, [0.5, 0.5], True, *np.empty((2, 2, 2)))
     with pytest.raises(ValueError, match="z = x \\+ gamma\\*a_star has non-finite entries"):
         generate_cyclic_sequence(rotator, x, x_star, schedule, 2)
 

@@ -80,14 +80,21 @@ def _query(dim, gamma, x, x_star):
 
 
 def _minty(resolvent, gamma, x, x_star):
-    z = check_finite(x + gamma * x_star, "z")
+    z = x + gamma * x_star
+    if z.ndim == 1:
+        check_finite(z, "z")
+    elif np.count_nonzero(np.isfinite(z)) != z.size:
+        # a stack names its first row that is not finite, and that row's gamma
+        i = int(np.isfinite(z).all(axis=1).argmin())
+        raise ValueError(f"z has non-finite entries at gamma = {float(gamma[i, 0])!r}: {z[i]!r}")
     return z, resolvent(gamma, z)
 
 
 def _carlier(x, a, gamma):
     d = x - a
-    # the (m, 1) gamma column of a stack divides its (m,) squared norms
-    return np.vecdot(d, d) / (gamma[:, 0] if isinstance(gamma, np.ndarray) else gamma)
+    if isinstance(gamma, np.ndarray):  # an (m, 1) column divides the (m,) squared norms
+        return np.vecdot(d, d) / gamma[:, 0]
+    return float(np.vecdot(d, d)) / gamma  # on Python floats, overflow is +inf with no warning
 
 
 def dual_carlier_check(A, gamma, x, x_star):

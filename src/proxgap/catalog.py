@@ -457,6 +457,18 @@ def make_subspace_indicator(basis):
     )
 
 
+def _positive_gradient(name, formula):
+    """The gradient witness ``formula(s)`` at a point s > 0 of R^1, on a Python float."""
+
+    def gradient(x):
+        s = as_vector(x, 1, "x").item()
+        if s <= 0.0:
+            raise ValueError(f"gradient of {name} is undefined at {s!r}")
+        return np.array([formula(s)])
+
+    return gradient
+
+
 # ---------------------------------------------------------------------------
 # Burg entropy
 
@@ -508,12 +520,6 @@ def make_burg():
     def conjugate_kernel(x_star):
         return value_kernel(-x_star) - 1.0
 
-    def gradient(x):
-        s = as_vector(x, 1, "x")[0]
-        if s <= 0.0:
-            raise ValueError(f"gradient of burg is undefined at {s!r}")
-        return np.array([-1.0 / s])
-
     return ConvexFunction(
         name="burg",
         dim=1,
@@ -521,7 +527,7 @@ def make_burg():
         conjugate_kernel=conjugate_kernel,
         gap_kernel=_elementwise_gap(scalar_gap),
         prox_kernel=_pointwise(scalar_prox),
-        gradient=gradient,
+        gradient=_positive_gradient("burg", lambda s: -1.0 / s),
         conjugate_prox_kernel=_pointwise(lambda sigma, t: -scalar_prox(sigma, -t)),
         subdiff_domain=_POSITIVE,
         subdiff_range=_NEGATIVE,
@@ -582,12 +588,6 @@ def make_shannon():
             return s * d * d * (0.5 + d * (1 / 6 + d * (1 / 24 + d * (1 / 120 + d / 720))))
         return s * (math.expm1(d) - d)
 
-    def gradient(x):
-        s = as_vector(x, 1, "x")[0]
-        if s <= 0.0:
-            raise ValueError(f"gradient of shannon is undefined at {s!r}")
-        return np.array([math.log(s)])
-
     return ConvexFunction(
         name="shannon",
         dim=1,
@@ -595,7 +595,7 @@ def make_shannon():
         conjugate_kernel=conjugate_kernel,
         gap_kernel=_elementwise_gap(scalar_gap),
         prox_kernel=_pointwise(scalar_prox),
-        gradient=gradient,
+        gradient=_positive_gradient("shannon", math.log),
         conjugate_prox_kernel=_pointwise(scalar_conjugate_prox),
         subdiff_domain=_POSITIVE,
         subdiff_range=_ALL,
@@ -662,20 +662,6 @@ def make_rotator():
 # ---------------------------------------------------------------------------
 # spec strings
 
-CATALOG_NAMES = ("energy", "subspace", "burg", "shannon", "rotator")
-
-
-def _parse_keyvals(tokens, spec):
-    pairs = {}
-    for tok in tokens:
-        key, sep, val = tok.partition("=")
-        if not sep or not key:
-            raise ValueError(f"expected key=value in spec '{spec}', got '{tok}'")
-        if key in pairs:
-            raise ValueError(f"duplicate key '{key}' in spec '{spec}'")
-        pairs[key] = val
-    return pairs
-
 
 def _parse_dim(raw, spec):
     try:
@@ -687,54 +673,61 @@ def _parse_dim(raw, spec):
     return dim
 
 
+def _subspace_from(pairs, spec):
+    dim = _parse_dim(pairs["dim"], spec)
+    vectors = [parse_vector(part, "vector") for part in pairs["basis"].split(";") if part]
+    if not vectors:
+        raise ValueError(f"spec '{spec}' has an empty basis")
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(
+                f"basis vector '{','.join(str(c) for c in v)}' in spec '{spec}' "
+                f"has dimension {len(v)}, expected {dim}"
+            )
+    return make_subspace_indicator(vectors)
+
+
+# name -> (keys, each with the value its missing-key error shows; builder (pairs, spec) -> entry),
+# whose make_* is looked up when it runs, so a factory patched on this module is the one called
+_SPECS = {
+    "energy": ({"dim": "N"}, lambda pairs, spec: make_energy(_parse_dim(pairs["dim"], spec))),
+    "subspace": ({"dim": "...", "basis": "..."}, _subspace_from),
+    "burg": ({}, lambda pairs, spec: make_burg()),
+    "shannon": ({}, lambda pairs, spec: make_shannon()),
+    "rotator": ({}, lambda pairs, spec: make_rotator()),
+}
+CATALOG_NAMES = tuple(_SPECS)
+
+
 def parse_spec(spec):
     """Build a catalog entry from a string like ``energy:dim=2``.
 
-    Grammar: ``energy:dim=N``, ``subspace:dim=N:basis=v1;v2;...`` with
-    comma-separated vector coordinates, and the bare names ``burg``,
-    ``shannon``, ``rotator``.  Returns a ConvexFunction or, for
-    ``rotator``, an Operator.  Error messages name the offending token.
+    Grammar, one ``_SPECS`` row per name: ``energy:dim=N``,
+    ``subspace:dim=N:basis=v1;v2;...`` with comma-separated coordinates, and
+    the bare names ``burg``, ``shannon``, ``rotator``.  Returns a ConvexFunction
+    or, for ``rotator``, an Operator.  Error messages name the offending token.
     """
     if not spec or not spec.strip():
         raise ValueError("empty catalog spec")
     tokens = spec.strip().split(":")
-    name = tokens[0]
-    pairs = _parse_keyvals(tokens[1:], spec)
-
-    if name == "energy":
-        if "dim" not in pairs:
-            raise ValueError(f"spec '{spec}' requires dim=N")
-        extra = set(pairs) - {"dim"}
-        if extra:
-            raise ValueError(f"unexpected key '{sorted(extra)[0]}' in spec '{spec}'")
-        return make_energy(_parse_dim(pairs["dim"], spec))
-
-    if name == "subspace":
-        missing = {"dim", "basis"} - set(pairs)
-        if missing:
-            raise ValueError(f"spec '{spec}' requires {sorted(missing)[0]}=...")
-        extra = set(pairs) - {"dim", "basis"}
-        if extra:
-            raise ValueError(f"unexpected key '{sorted(extra)[0]}' in spec '{spec}'")
-        dim = _parse_dim(pairs["dim"], spec)
-        vectors = [parse_vector(part, "vector") for part in pairs["basis"].split(";") if part]
-        if not vectors:
-            raise ValueError(f"spec '{spec}' has an empty basis")
-        for v in vectors:
-            if len(v) != dim:
-                raise ValueError(
-                    f"basis vector '{','.join(str(c) for c in v)}' in spec '{spec}' "
-                    f"has dimension {len(v)}, expected {dim}"
-                )
-        return make_subspace_indicator(vectors)
-
-    bare = {"burg": make_burg, "shannon": make_shannon, "rotator": make_rotator}
-    if name in bare:
-        if pairs:
-            raise ValueError(f"unexpected key '{sorted(pairs)[0]}' in spec '{spec}'")
-        return bare[name]()
-
-    raise ValueError(f"unknown catalog entry '{name}'")
+    name, pairs = tokens[0], {}
+    for tok in tokens[1:]:
+        key, sep, val = tok.partition("=")
+        if not sep or not key:
+            raise ValueError(f"expected key=value in spec '{spec}', got '{tok}'")
+        if key in pairs:
+            raise ValueError(f"duplicate key '{key}' in spec '{spec}'")
+        pairs[key] = val
+    if name not in _SPECS:
+        raise ValueError(f"unknown catalog entry '{name}'")
+    keys, build = _SPECS[name]
+    missing = sorted(keys.keys() - pairs.keys())
+    if missing:
+        raise ValueError(f"spec '{spec}' requires {missing[0]}={keys[missing[0]]}")
+    extra = sorted(pairs.keys() - keys.keys())
+    if extra:
+        raise ValueError(f"unexpected key '{extra[0]}' in spec '{spec}'")
+    return build(pairs, spec)
 
 
 def as_operator(entry):

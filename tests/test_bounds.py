@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ def test_gap_off_domain_is_inf(burg):
 
 
 # --------------------------------------------------------------- carlier
+
+
+def test_carlier_overflow_is_inf_without_a_warning():
+    # carlier_bound's own docstring example: ||x - a||^2 / gamma is past the float range
+    A = catalog.as_operator(catalog.parse_spec("subspace:dim=2:basis=1,1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert carlier_bound(A, 1e-320, [1, 2], [0.5, -1]) == INF
 
 
 def test_carlier_energy_closed_form(energy2):
@@ -314,6 +323,10 @@ def test_bregman_dominates_carlier(burg, rng):
             assert c <= d + 1e-10 * (1.0 + abs(d))
 
 
+def test_bregman_off_domain_is_inf(burg):
+    assert bregman_distance(burg, [-1.0], [1.0]) == INF
+
+
 def test_bregman_requires_gradient(subspace_e1):
     with pytest.raises(ValueError, match="no gradient witness"):
         bregman_distance(subspace_e1, [1.0, 0.0], [2.0, 0.0])
@@ -452,6 +465,11 @@ def test_chain_violation_detects_tampering(energy2):
     assert "negative" in chain_violation(negative)
 
 
+def test_chain_violation_names_a_fitzpatrick_above_the_gap(energy2):
+    rep = dataclasses.replace(bound_report(energy2, 1.0, X1, XSTAR1), gap=1.0, fitzpatrick=2.0)
+    assert chain_violation(rep) == "fitzpatrick 2.0 exceeds gap 1.0"
+
+
 def test_chain_violation_caps_carlier_by_the_smaller_of_gap_and_fitzpatrick():
     # gap < fitz <= gap + slack, so the fitz link holds, yet carlier lies
     # above gap + slack: capping carlier by fitz alone would miss this
@@ -524,6 +542,12 @@ def test_csv_round_trip_absent_fitzpatrick(energy2):
     bare = dataclasses.replace(rep, fitzpatrick=None)
     back = report_from_csv_row(report_to_csv_row(bare))
     assert back.fitzpatrick is None
+
+
+def test_csv_row_with_too_few_fields_is_rejected():
+    with pytest.raises(ValueError) as excinfo:
+        report_from_csv_row(["1"])
+    assert str(excinfo.value) == "expected 8 fields, got 1"
 
 
 def test_csv_preserves_full_precision(energy2):

@@ -128,6 +128,12 @@ def test_energy_is_self_conjugate(energy2, rng):
         assert np.allclose(star.prox(2.0, z), energy2.prox(2.0, z))
 
 
+def test_make_energy_rejects_dim_zero():
+    with pytest.raises(ValueError) as excinfo:
+        catalog.make_energy(0)
+    assert str(excinfo.value) == "energy requires dim >= 1, got 0"
+
+
 # -------------------------------------------------------------- subspace
 
 
@@ -159,6 +165,19 @@ def test_orthonormal_basis_mgs(rng):
 def test_orthonormal_basis_rank_deficient():
     with pytest.raises(ValueError, match="rank-deficient at vector 2"):
         orthonormal_basis([[1.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([], "basis must contain at least one vector"),
+        ([[1, 0], [1, 0, 0]], "basis vector 2 has dimension 3, expected 2"),
+    ],
+)
+def test_orthonormal_basis_shape_errors(vectors, message):
+    with pytest.raises(ValueError) as excinfo:
+        orthonormal_basis(vectors)
+    assert str(excinfo.value) == message
 
 
 # ------------------------------------------------------------------ burg
@@ -286,6 +305,19 @@ def test_shannon_prox_where_z_over_gamma_overflows(shannon):
             assert abs(p - root) <= math.ulp(p), (g, s)
 
 
+@pytest.mark.parametrize(
+    "name, point, formula",
+    [("burg", 0.0, lambda s: -1.0 / s), ("shannon", -1.0, math.log)],
+)
+def test_gradient_witness_names_its_point_as_a_float(name, point, formula):
+    f = parse_spec(name)
+    with pytest.raises(ValueError) as excinfo:
+        f.gradient([point])
+    assert str(excinfo.value) == f"gradient of {name} is undefined at {point!r}"
+    for s in (1e-300, 0.3, 2.0, 7.5e12):
+        assert f.gradient([s]).tolist() == [formula(s)]
+
+
 # --------------------------------------------------------------- rotator
 
 
@@ -406,8 +438,38 @@ def test_parse_spec_errors_name_the_token(spec, fragment):
         parse_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("energy:dim", "expected key=value in spec 'energy:dim', got 'dim'"),
+        # the key=value error comes before the name is looked up
+        ("frobulator:x", "expected key=value in spec 'frobulator:x', got 'x'"),
+        ("energy:dim=0", "bad dimension '0' in spec 'energy:dim=0': must be >= 1"),
+        ("subspace:basis=1,0", "spec 'subspace:basis=1,0' requires dim=..."),
+        (
+            "subspace:dim=2:basis=1,0:x=1",
+            "unexpected key 'x' in spec 'subspace:dim=2:basis=1,0:x=1'",
+        ),
+        ("subspace:dim=2:basis=;", "spec 'subspace:dim=2:basis=;' has an empty basis"),
+        ("rotator:a=b", "unexpected key 'a' in spec 'rotator:a=b'"),
+    ],
+)
+def test_parse_spec_error_messages(spec, message):
+    with pytest.raises(ValueError) as excinfo:
+        parse_spec(spec)
+    assert str(excinfo.value) == message
+
+
+def test_parse_spec_calls_the_factory_of_the_module_at_call_time(monkeypatch):
+    # a tracer that patches catalog.make_* must see every entry parse_spec builds
+    built = []
+    monkeypatch.setattr(catalog, "make_burg", lambda: built.append("burg") or "patched")
+    assert parse_spec("burg") == "patched"
+    assert built == ["burg"]
+
+
 def test_catalog_names():
-    assert set(CATALOG_NAMES) == {"energy", "subspace", "burg", "shannon", "rotator"}
+    assert CATALOG_NAMES == ("energy", "subspace", "burg", "shannon", "rotator")
 
 
 # ------------------------------------------------------------- inverses

@@ -402,6 +402,15 @@ def test_sweep_out_with_json_suffix_exits_1(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_sweep_overflow_names_its_gamma_on_one_line(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--spec", "energy:dim=1", "--x", "1", "--xstar", "1e305"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: z has non-finite entries at gamma = 3162.2776601683795: array([inf])\n"
+
+
 def test_sweep_bad_grid_exits_1(capsys):
     code, _, err = run_cli(
         capsys,
@@ -762,6 +771,13 @@ def test_pgm_input_errors_exit_1(capsys):
     code, _, err = run_cli(capsys, "pgm", "--gamma", "1e308")
     assert code == 1
     assert "error: z has non-finite entries" in err and "contract violation" not in err
+
+
+def test_pgm_rejects_zero_iters(capsys):
+    code, out, err = run_cli(capsys, "pgm", "--iters", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --iters must be >= 1, got 0\n"
 
 
 def test_pgm_validates_y0(capsys):

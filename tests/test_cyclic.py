@@ -42,6 +42,19 @@ def test_schedule_resolve():
         GammaSchedule.from_values([1.0, 2.0]).resolve(5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GammaSchedule(values=()), "values must be non-empty"),
+        (lambda: GammaSchedule.const(1.0).resolve(0), "n_terms must be >= 1, got 0"),
+    ],
+)
+def test_schedule_error_messages(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_schedule_step_sizes_are_floats():
     # ints, bools and numpy scalars are stored as the floats they stand for
     schedules = (

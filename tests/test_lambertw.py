@@ -22,6 +22,12 @@ def test_negative_argument_rejected():
         lambert_w(-0.1)
 
 
+def test_nan_exponent_rejected():
+    with pytest.raises(ValueError) as excinfo:
+        lambert_w_exp(math.nan)
+    assert str(excinfo.value) == "lambert_w_exp requires a real argument, got nan"
+
+
 def test_residuals_across_scales():
     for z in np.logspace(-8, 8, 33):
         w = lambert_w(float(z))

@@ -675,15 +675,18 @@ def _parse_dim(raw, spec):
 
 def _subspace_from(pairs, spec):
     dim = _parse_dim(pairs["dim"], spec)
-    vectors = [parse_vector(part, "vector") for part in pairs["basis"].split(";") if part]
-    if not vectors:
+    parts = pairs["basis"].split(";")
+    if not any(parts):
         raise ValueError(f"spec '{spec}' has an empty basis")
+    if not all(parts):
+        raise ValueError(f"empty basis vector in spec '{spec}'")
+    vectors = [parse_vector(part, "vector") for part in parts]
     for v in vectors:
+        label = f"basis vector '{','.join(str(c) for c in v)}' in spec '{spec}'"
         if len(v) != dim:
-            raise ValueError(
-                f"basis vector '{','.join(str(c) for c in v)}' in spec '{spec}' "
-                f"has dimension {len(v)}, expected {dim}"
-            )
+            raise ValueError(f"{label} has dimension {len(v)}, expected {dim}")
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"{label} has non-finite entries")
     return make_subspace_indicator(vectors)
 
 

@@ -105,11 +105,6 @@ def _domain_points(f, draws):
     return np.abs(draws) + 0.1
 
 
-def domain_sample(f, rng):
-    """A point of dom f (for subspace: of the subspace itself)."""
-    return _domain_points(f, rng.normal(size=f.dim))
-
-
 def _over_gammas(*points):
     """The ``(m, 1)`` gamma column and each point stack repeated to match:
     every point once per gamma of ``GAMMA_SET``, point-major."""

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from proxgap import catalog
-from proxgap.verify import domain_sample as draw_domain_point  # noqa: F401
+from proxgap import catalog, verify
+
+# the golden-record helpers assert, so show their comparisons like a test's
+pytest.register_assert_rewrite("golden")
 
 
 @pytest.fixture
@@ -34,6 +36,11 @@ def shannon():
 @pytest.fixture
 def rotator():
     return catalog.make_rotator()
+
+
+def draw_domain_point(f, rng):
+    """A point of dom f (for subspace: of the subspace itself)."""
+    return verify._domain_points(f, rng.normal(size=f.dim))
 
 
 def draw_dual_point(f, rng):

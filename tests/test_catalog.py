@@ -451,6 +451,15 @@ def test_parse_spec_errors_name_the_token(spec, fragment):
             "unexpected key 'x' in spec 'subspace:dim=2:basis=1,0:x=1'",
         ),
         ("subspace:dim=2:basis=;", "spec 'subspace:dim=2:basis=;' has an empty basis"),
+        (
+            "subspace:dim=2:basis=1,0;;0,1",
+            "empty basis vector in spec 'subspace:dim=2:basis=1,0;;0,1'",
+        ),
+        ("subspace:dim=2:basis=1,0;", "empty basis vector in spec 'subspace:dim=2:basis=1,0;'"),
+        (
+            "subspace:dim=2:basis=1,inf",
+            "basis vector '1.0,inf' in spec 'subspace:dim=2:basis=1,inf' has non-finite entries",
+        ),
         ("rotator:a=b", "unexpected key 'a' in spec 'rotator:a=b'"),
     ],
 )

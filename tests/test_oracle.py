@@ -96,8 +96,6 @@ def test_prox_subspace_infeasible_start(subspace_e1):
 
 
 def test_prox_matches_closed_forms_random(request, rng):
-    from conftest import draw_domain_point  # noqa: F401
-
     for name in ("energy2", "burg", "shannon"):
         f = request.getfixturevalue(name)
         for _ in range(5):

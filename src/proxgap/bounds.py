@@ -139,8 +139,9 @@ def pair_inequality_check(f, x, x_star, y, y_star):
 
 
 def bregman_distance(f, x, y):
-    """D_f(x, y) = f(x) - f(y) - <x - y, grad f(y)>.
+    """D_f(x, y) = f(x) - f(y) - <x - y, grad f(y)>, as the gap G_f(x, grad f(y)).
 
+    ``f.gap_kernel`` does not cancel for x near y, and is +inf where f(x) is.
     Requires a gradient witness on the entry; the witness itself may
     reject y outside the differentiability domain.
     """
@@ -148,11 +149,7 @@ def bregman_distance(f, x, y):
         raise ValueError(f"catalog entry '{f.name}' has no gradient witness")
     x = as_vector(x, f.dim, "x")
     y = as_vector(y, f.dim, "y")
-    g = f.gradient(y)
-    fx = f.value_kernel(x)
-    if fx == INF:
-        return INF
-    return float(fx - f.value_kernel(y) - inner(x - y, g))
+    return float(f.gap_kernel(x, f.gradient(y)))
 
 
 @dataclass(frozen=True)

@@ -236,30 +236,25 @@ def run_pgm(args):
 def _build_parser():
     parser = _Parser(prog="proxgap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--spec", required=True, help="catalog entry, e.g. energy:dim=2")
+    query.add_argument("--x", required=True, help="comma-separated coordinates")
+    query.add_argument("--xstar", required=True, help="comma-separated coordinates")
 
-    p = sub.add_parser("eval", help="evaluate the bound chain at one query")
-    p.add_argument("--spec", required=True, help="catalog entry, e.g. energy:dim=2")
-    p.add_argument("--x", required=True, help="comma-separated coordinates")
-    p.add_argument("--xstar", required=True, help="comma-separated coordinates")
+    p = sub.add_parser("eval", parents=[query], help="evaluate the bound chain at one query")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=run_eval)
 
-    p = sub.add_parser("sweep", help="Carlier bound over a log-spaced gamma grid")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--xstar", required=True)
+    p = sub.add_parser("sweep", parents=[query], help="Carlier bound over a log-spaced gamma grid")
     p.add_argument("--gamma-lo", type=float, default=1e-6)
     p.add_argument("--gamma-hi", type=float, default=1e6)
     p.add_argument("--count", type=int, default=49)
     p.add_argument("--out", default=None)
     p.set_defaults(func=run_sweep)
 
-    p = sub.add_parser("series", help="cyclic series lower bound")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--xstar", required=True)
+    p = sub.add_parser("series", parents=[query], help="cyclic series lower bound")
     schedule = p.add_mutually_exclusive_group()
     schedule.add_argument("--gamma", type=float, default=1.0, help="constant schedule")
     schedule.add_argument("--gammas", default=None, help="explicit comma-separated schedule")

@@ -62,6 +62,30 @@ def as_pairs(points, dim):
     return pairs
 
 
+def graph_chain(A, points, label):
+    """:func:`as_pairs` of ``points``, each checked in gr A by ``A.graph_kernel``.
+
+    ValueError names the first pair outside the graph as ``<label> i``.
+    """
+    pairs = as_pairs(points, A.dim)
+    for i, (a, a_star) in enumerate(pairs, 1):
+        if not A.graph_kernel(a, a_star):
+            raise ValueError(f"{label} {i} is not in the graph of {A.name}")
+    return pairs
+
+
+def chain_sum(x, x_star, pairs):
+    """sum_k <a_k - x, a_{k-1}* - a_k*> over the pairs (a_k, a_k*), with a_0* = x*.
+
+    Each term is a product of differences, so a chain near (x, x*) keeps its
+    low digits where the raw pairings <a_k, a_k*> would cancel.
+    """
+    total = inner(pairs[0][0] - x, x_star - pairs[0][1])
+    for k in range(1, len(pairs)):
+        total += inner(pairs[k][0] - x, pairs[k - 1][1] - pairs[k][1])
+    return total
+
+
 def parse_vector(text, name):
     """The reals of a comma-separated string such as ``"1,0.5"``."""
     try:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import _carlier
 from .catalog import _FORMULAS
-from .core import as_gamma, as_pairs, as_vector, inner
+from .core import as_gamma, as_pairs, as_vector, chain_sum, graph_chain, inner
 
 _NON_FINITE_Z = "z = x + gamma*a_star has non-finite entries in the cyclic recursion"
 # the widest point whose series steps on Python floats: from 8 coordinates on
@@ -222,21 +222,11 @@ def ncyclic_identity_check(x, x_star, points):
     x_star = as_vector(x_star, x.size, "x_star")
     pts = as_pairs(points, x.size)
 
-    lhs = _polarization_lhs(x, x_star, pts)
-    rhs = inner(pts[0][0] - x, x_star - pts[0][1])
-    for k in range(1, len(pts)):
-        rhs += inner(pts[k][0] - x, pts[k - 1][1] - pts[k][1])
-
-    return lhs, rhs
-
-
-def _polarization_lhs(x, x_star, pts):
-    """<x - a_m, a_m*> + <a_1 - x, x*> + sum_{k<m} <a_{k+1} - a_k, a_k*>."""
     m = len(pts)
     lhs = inner(x - pts[m - 1][0], pts[m - 1][1]) + inner(pts[0][0] - x, x_star)
     for k in range(m - 1):
         lhs += inner(pts[k + 1][0] - pts[k][0], pts[k][1])
-    return lhs
+    return lhs, chain_sum(x, x_star, pts)
 
 
 def fitzpatrick_n_lower(A, x, x_star, points):
@@ -244,13 +234,9 @@ def fitzpatrick_n_lower(A, x, x_star, points):
 
     Every pair must lie in gr A (checked; ValueError names the offender).
     Returns the supremand minus <x, x*>, a lower bound for
-    F_{A,m+1}(x, x*) - <x, x*>.
+    F_{A,m+1}(x, x*) - <x, x*>, as the difference sum of
+    :func:`ncyclic_identity_check`'s right side.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    pts = as_pairs(points, A.dim)
-    for i, (a, a_star) in enumerate(pts, 1):
-        if not A.graph_kernel(a, a_star):
-            raise ValueError(f"point {i} is not in the graph of {A.name}")
-
-    return _polarization_lhs(x, x_star, pts)
+    return chain_sum(x, x_star, graph_chain(A, points, "point"))

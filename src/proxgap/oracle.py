@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, as_gamma, as_pairs, as_vector, inner
+from .core import INF, as_gamma, as_vector, chain_sum, graph_chain
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -228,7 +228,8 @@ def numeric_prox(f, gamma, z):
 
 
 def sampled_fitzpatrick(A, x, x_star, samples):
-    """Lower estimate of F_A(x, x*) - <x, x*> from explicit graph samples.
+    """Lower estimate of F_A(x, x*) - <x, x*> from explicit graph samples:
+    the largest <a - x, x* - a*> over the samples (a, a*).
 
     Every sample must lie in gr A (checked; ValueError names the
     offender).  The estimate increases toward the true value as the
@@ -236,11 +237,4 @@ def sampled_fitzpatrick(A, x, x_star, samples):
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
-    best = -INF
-    for i, (a, a_star) in enumerate(as_pairs(samples, A.dim), 1):
-        if not A.graph_kernel(a, a_star):
-            raise ValueError(f"sample {i} is not in the graph of {A.name}")
-        value = inner(x, a_star) + inner(a, x_star) - inner(a, a_star)
-        if value > best:
-            best = value
-    return best - inner(x, x_star)
+    return max(chain_sum(x, x_star, [pair]) for pair in graph_chain(A, samples, "sample"))

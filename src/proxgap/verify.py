@@ -3,8 +3,10 @@
 Each suite hammers one contract (chain ordering, duality, Minty
 identities, the pair inequality, oracle agreement) on reproducible
 random inputs.  ``slack`` overrides every per-check tolerance at once;
-it must be finite and >= 0, and passing 0.0 is the supported way to
-prove the suites can fail.
+it must be finite and >= 0.  Passing 0.0 is the supported way to prove
+that the chain, duality, Minty and oracle suites can fail.  The pair
+suite passes at 0.0: its random pairs meet the inequality outright, and
+its energy cross-graph pairs compute both sides as the same bits.
 
 The suites evaluate stacks.  Each catalog entry draws all of its inputs
 as one block, in the order a loop over single points would draw them,

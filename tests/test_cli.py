@@ -766,6 +766,20 @@ def test_pgm_divergence_exits_2(capsys):
     assert "diverged" in err
 
 
+def test_pgm_certificate_above_the_bregman_gap_exits_2(capsys, monkeypatch):
+    certify = analysis.pgm_certificates
+
+    def inflated(*args, **kwargs):
+        trace = certify(*args, **kwargs)
+        return dataclasses.replace(trace, carlier_certs=trace.bregman_refs + 1e-9)
+
+    monkeypatch.setattr(analysis, "pgm_certificates", inflated)
+    code, out, err = run_cli(capsys, "pgm", "--iters", "5")
+    assert code == 2
+    assert "final carlier certificate" in out
+    assert err == "contract violation: certificate exceeds the Bregman gap\n"
+
+
 def test_pgm_input_errors_exit_1(capsys):
     # a Minty point past the float range is the library rejecting its input
     code, _, err = run_cli(capsys, "pgm", "--gamma", "1e308")
@@ -784,3 +798,22 @@ def test_pgm_validates_y0(capsys):
     code, _, err = run_cli(capsys, "pgm", "--y0", "1,2,3")
     assert code == 1
     assert "--y0 has dimension 3, expected 2" in err
+
+
+# ------------------------------------------------------------------ help
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("usage: proxgap")
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "series"])
+def test_query_commands_share_the_query_flags(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    for flag in ("--spec SPEC", "--x X", "--xstar XSTAR"):
+        assert flag in out
+    assert "catalog entry, e.g. energy:dim=2" in out

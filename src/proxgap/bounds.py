@@ -94,7 +94,11 @@ def _carlier(x, a, gamma):
     d = x - a
     if isinstance(gamma, np.ndarray):  # an (m, 1) column divides the (m,) squared norms
         return np.vecdot(d, d) / gamma[:, 0]
-    return float(np.vecdot(d, d)) / gamma  # on Python floats, overflow is +inf with no warning
+    # d.dot(d) is the BLAS dot that vecdot's float64 loop calls: the same bits
+    # in 0.4 us against 0.7 us.  Past ||d|| of about 1.3e154 it is +inf with
+    # numpy's "overflow encountered in dot" warning; the quotient is divided
+    # on Python floats, so where only it overflows it is +inf with no warning
+    return float(d.dot(d)) / gamma
 
 
 def dual_carlier_check(A, gamma, x, x_star):

@@ -55,6 +55,33 @@ def test_carlier_overflow_is_inf_without_a_warning():
         assert carlier_bound(A, 1e-320, [1, 2], [0.5, -1]) == INF
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 64])
+def test_one_point_carlier_has_the_bits_of_a_one_row_stack(dim):
+    # the one-point branch squares d = x - a with ndarray.dot, the stack
+    # branch with vecdot; a numpy build where the two differ fails here
+    rng = np.random.default_rng(dim)
+    for exponent in np.linspace(-160.0, 160.0, 161).repeat(3):
+        x, a = rng.normal(size=(2, dim)) * 10.0 ** (exponent + rng.uniform(-1.0, 1.0, (2, dim)))
+        gamma = 10.0 ** rng.uniform(0.0, 1.0)  # gamma >= 1: only the square can overflow
+        norm = math.hypot(*(x - a).tolist())
+        if 1.3e154 < norm < 1.4e154:  # where the square rounds to the float limit
+            continue
+        overflows = norm > 1.4e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if overflows else "error")
+            want = bounds._carlier(x[None], a[None], np.array([[gamma]]))
+        if overflows:
+            with pytest.warns(RuntimeWarning, match="^overflow encountered in dot$"):
+                got = bounds._carlier(x, a, gamma)
+            assert got == INF
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = bounds._carlier(x, a, gamma)
+            assert got < INF
+        assert type(got) is float and got == want[0], (dim, exponent)
+
+
 def test_carlier_energy_closed_form(energy2):
     A = subdifferential_operator(energy2)
     assert abs(carlier_bound(A, 1.0, X1, XSTAR1) - 0.5) <= 1e-15

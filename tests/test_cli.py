@@ -346,6 +346,47 @@ def test_unknown_subcommand_exits_1(capsys):
     assert code == 1
 
 
+def _joined(argv):
+    """``argv`` with each value that starts with one minus joined to its flag by ``=``."""
+    out = []
+    for token in argv:
+        if token.startswith("-") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--spec", "energy:dim=2", "--x", "-1,2", "--xstar", "0.5,-1", "--gamma", "1"],
+        ["eval", "--spec", "burg", "--x", "2", "--xstar", "-1e-3", "--gamma", "1"],
+        ["eval", "--spec", "energy:dim=2", "--x", "-inf,2", "--xstar", "0,1", "--gamma", "1"],
+        ["sweep", "--spec", "rotator", "--x", "-.5,2", "--xstar", "0.5,-1", "--count", "9"],
+        ["sweep", "--spec", "burg", "--x", "1", "--xstar", "-1", "--gamma-lo", "-1e-3"],
+        ["series", "--spec", "burg", "--x", "1", "--xstar", "-2.5e-1", "--gammas", "1,2,3"],
+        ["series", "--spec", "burg", "--x", "1", "--xstar", "-1", "--gammas", "-1,2"],
+        ["series", "--spec", "burg", "--x", "1", "--xstar", "-1", "--gamma", "-2.5e-1"],
+        ["pgm", "--y0", "-4,3", "--iters", "5"],
+        ["pgm", "--step", "-5e-1"],
+        ["verify", "--slack", "-1e-3"],
+    ],
+)
+def test_flag_values_that_start_with_a_minus(capsys, argv):
+    # "--x -1,2" gives the bytes of "--x=-1,2": argparse by default takes as a
+    # value only a token such as "-1" or "-0.5" that matches its number pattern
+    result = run_cli(capsys, *argv)
+    assert "expected one argument" not in result[2]
+    assert result == run_cli(capsys, *_joined(argv))
+
+
+def test_a_negative_gamma_in_e_notation_is_not_positive(capsys):
+    argv = ["eval", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--gamma", "-1e-3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: --gamma must be positive and finite, got -0.001\n")
+
+
 # ----------------------------------------------------------------- sweep
 
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from proxgap.core import (
+    _FLOAT_CHECK_MAX,
     MEMBERSHIP_TOL,
     as_gamma,
     as_pairs,
@@ -113,17 +114,29 @@ def test_check_finite_names_the_stack():
         check_finite(stack, "z")
 
 
-# 1e308 pairs overflow a sum although every entry is finite
+# 1e308 pairs overflow a sum although every entry is finite; 1-D vectors run
+# past the length up to which check_finite decides on Python floats
 STACKS = hnp.arrays(
     np.float64,
-    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=_FLOAT_CHECK_MAX + 3),
     elements=st.one_of(
         st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]), st.floats()
     ),
 )
 
 
+def _vector(n, last):
+    """n entries: a +-1e308 pair, zeros, then ``last``."""
+    return np.array([1e308, -1e308] + [0.0] * (n - 3) + [last])
+
+
 @pytest.mark.filterwarnings("error")
+@example(_vector(_FLOAT_CHECK_MAX, math.inf))
+@example(_vector(_FLOAT_CHECK_MAX, math.nan))
+@example(_vector(_FLOAT_CHECK_MAX, 1e308))
+@example(_vector(_FLOAT_CHECK_MAX + 1, -math.inf))
+@example(_vector(_FLOAT_CHECK_MAX + 1, math.nan))
+@example(_vector(_FLOAT_CHECK_MAX + 1, 1e308))
 @example(np.array([1e308, 1e308]))
 @example(np.full((2, 2), -1e308))
 @example(np.zeros(0))

@@ -276,6 +276,8 @@ def pgm_certificates(f_smooth, f_prox, step, gamma, y0, iters=200):
     step = as_gamma(step, "step")
     gamma = as_gamma(gamma)
     y0 = as_vector(y0, f_smooth.dim, "y0")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters!r}")
 
     run = _pgm_run(f_smooth, f_prox, step, y0, 10 * iters)
     x_ref, iterates = run[-1], run[: iters + 1]

@@ -127,6 +127,15 @@ def fitzpatrick_bound(entry, x, x_star):
     return float(entry.fitzpatrick_gap(x, x_star))
 
 
+def _fitzpatrick(f, x, x_star, gap):
+    """F(x, x*) - <x, x*> row-wise, or None without a closed form; ``gap``, the
+    Fenchel-Young gap at (x, x*), where f marks its Fitzpatrick gap ``equals_gap``."""
+    fitz = f.fitzpatrick_gap
+    if fitz is None:
+        return None
+    return gap if getattr(fitz, "equals_gap", False) else fitz(x, x_star)
+
+
 def pair_inequality_check(f, x, x_star, y, y_star):
     """Both sides of G_f(x, x*) + G_f(y, y*) >= <y - x, x* - y*>.
 
@@ -186,17 +195,14 @@ def bound_report(f, gamma, x, x_star):
     stack = np.array((x, a, x, x_star, x_star, (z - a) / gamma))
     norm_x, norm_a, _, norm_xs, _, norm_as = row_norm(stack).tolist()
     gap_x, gap_a, gap_as = f.gap_kernel(stack[:3], stack[3:]).tolist()
-    fitz = f.fitzpatrick_gap
-    if fitz is not None:
-        # an entry whose gap is its Fitzpatrick gap (subspace) has it in row 0
-        fitz = gap_x if fitz is f.gap_kernel else float(fitz(x, x_star))
+    fitz = _fitzpatrick(f, x, x_star, gap_x)
 
     return BoundReport(
         x=x,
         x_star=x_star,
         gamma=gamma,
         gap=gap_x,
-        fitzpatrick=fitz,
+        fitzpatrick=None if fitz is None else float(fitz),
         carlier=float(_carlier(x, a, gamma)),
         gap_zero=within_tolerance(gap_x, (norm_x, norm_xs)),
         gap_equals_carlier=within_tolerance(gap_a, (norm_a, norm_xs))

@@ -28,6 +28,9 @@ exception is the rescaled point of the flipped kernels (:func:`_flipped`).
 Burg's and Shannon's proxes, conjugate proxes and gaps and the rotator's
 resolvent (:func:`_pointwise`) are one formula on Python floats each, which
 every point goes through, alone or in a stack, and which raises no warning.
+Facts about a kernel are its attributes, which a ``functools.wraps`` wrapper
+copies: ``formula`` on those kernels, and ``equals_gap`` on a Fitzpatrick
+gap that is the entry's gap kernel (the subspace's).
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
 and ``resolvent`` are the kernels behind one ``as_vector`` call, and the
 last three reject a gamma that is not positive and finite before it (see
@@ -45,7 +48,6 @@ from the conjugate); its default kernel is the resolvent flip.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -103,17 +105,14 @@ def _validated(kernel, dim, name):
     return call
 
 
-# kernel -> its formula (see _pointwise); a wrapped kernel has no entry
-_FORMULAS = weakref.WeakKeyDictionary()
-
-
 def _pointwise(formula):
     """The kernel of ``formula(gamma, *z)``, which maps the coordinates of one
     point to those of the result on Python floats (one coordinate as a float).
 
     Every point, alone or in a stack, goes through the formula: ``math``'s
     results bit for bit, no numpy warning, and less time per point than numpy
-    calls on tiny arrays.  ``_FORMULAS`` records it, for the cyclic series.
+    calls on tiny arrays.  The kernel keeps it as ``kernel.formula``, for the
+    cyclic series.
     """
 
     def kernel(gamma, z):
@@ -123,7 +122,7 @@ def _pointwise(formula):
         rows = map(formula, gammas, *z.reshape(-1, z.shape[-1]).T.tolist())
         return np.array(list(rows)).reshape(z.shape)
 
-    _FORMULAS[kernel] = formula
+    kernel.formula = formula
     return kernel
 
 
@@ -439,6 +438,8 @@ def make_subspace_indicator(basis):
         np.subtract(z[0], resid[0], out=resid[0])
         member = within_membership(row_norm(resid), z)
         return np.where(member[0] & member[1], 0.0, INF)[()]
+
+    fitz_gap.equals_gap = True
 
     member_U = SetSpec(contains=in_U, closure_contains=in_U)
     member_Uperp = SetSpec(contains=in_Uperp, closure_contains=in_Uperp)

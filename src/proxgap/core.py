@@ -59,26 +59,27 @@ def as_vector(coords, dim=None, name="vector"):
     return x
 
 
-def as_pairs(points, dim):
+def as_pairs(points, dim, name="points"):
     """The pairs (a_i, a_i*) of ``points`` as finite arrays of dimension ``dim``.
 
-    Raises when there are none; the names a_i and a_star_i count from 1.
+    ``name`` names the argument if it holds none; a_i and a_star_i count from 1.
     """
     pairs = [
         (as_vector(a, dim, f"a_{i}"), as_vector(a_star, dim, f"a_star_{i}"))
         for i, (a, a_star) in enumerate(points, 1)
     ]
     if not pairs:
-        raise ValueError("points must contain at least one pair")
+        raise ValueError(f"{name} must contain at least one pair")
     return pairs
 
 
 def graph_chain(A, points, label):
     """:func:`as_pairs` of ``points``, each checked in gr A by ``A.graph_kernel``.
 
-    ValueError names the first pair outside the graph as ``<label> i``.
+    ValueError calls the argument ``<label>s`` and the first pair outside the
+    graph ``<label> i``.
     """
-    pairs = as_pairs(points, A.dim)
+    pairs = as_pairs(points, A.dim, label + "s")
     for i, (a, a_star) in enumerate(pairs, 1):
         if not A.graph_kernel(a, a_star):
             raise ValueError(f"{label} {i} is not in the graph of {A.name}")

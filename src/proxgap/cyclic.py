@@ -8,7 +8,9 @@ single Carlier term into a series: with a_0* = x* and
 
 each partial sum of ||x - a_k||^2 / gamma_k lower-bounds the gap of the
 Fitzpatrick function of order n at (x, x*), and for A = df the whole
-series is dominated by the Fenchel-Young gap.
+series is dominated by the Fenchel-Young gap.  A series of a few coordinates
+steps through the resolvent kernel's ``formula`` attribute where it has one
+(:func:`proxgap.catalog._pointwise`), which a ``functools.wraps`` wrapper keeps.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bounds import _carlier
-from .catalog import _FORMULAS
 from .core import as_gamma, as_pairs, as_vector, chain_sum, graph_chain, inner
 
 _NON_FINITE_Z = "z = x + gamma*a_star has non-finite entries in the cyclic recursion"
@@ -164,9 +165,10 @@ def _array_steps(resolvent, x, x_star, gammas, constant, a, a_star):
 def _float_steps(resolvent, x, x_star, gammas, constant, a, a_star):
     """:func:`_array_steps` on Python floats, with z checked on each step.
 
-    A step calls the kernel's recorded formula, else the kernel on one point.
+    A step calls the kernel's ``formula`` attribute, else the kernel on one point.
     """
-    formula = _FORMULAS.get(resolvent) or (lambda gamma, *z: resolvent(gamma, np.array(z)).tolist())
+    formula = getattr(resolvent, "formula", None)
+    formula = formula or (lambda gamma, *z: resolvent(gamma, np.array(z)).tolist())
     xs, s = x.tolist(), x_star.tolist()
     z, coords = list(xs), range(len(xs))
     a_coords, a_star_coords = [], []  # coordinates of a_1, a_2, ... and of a_1*, a_2*, ...

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _carlier, _minty, bound_report, chain_links, dual_carlier_check
-from .bounds import pair_inequality_check
+from .bounds import _carlier, _fitzpatrick, _minty, bound_report, chain_links
+from .bounds import dual_carlier_check, pair_inequality_check
 from .catalog import (
     make_burg,
     make_energy,
@@ -127,7 +127,7 @@ def run_chain_suite(rng, slack=None):
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
         g = f.gap_kernel(x, x_star)
         c = _carlier(x, _minty(f.prox_kernel, gamma, x, x_star)[1], gamma)
-        fitz = None if f.fitzpatrick_gap is None else f.fitzpatrick_gap(x, x_star)
+        fitz = _fitzpatrick(f, x, x_star, g)
         fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
         ok = fitz_ok & capped & nonnegative
 

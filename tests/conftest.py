@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,30 @@ def draw_dual_point(f, rng):
     if f.name == "burg":
         return np.array([-np.exp(rng.uniform(-2.0, 1.0))])
     return rng.normal(size=1)
+
+
+def moreau_fallback(f):
+    """f with its closed-form conjugate prox dropped, so the record derives
+    the Moreau flip of its prox."""
+    bare = dataclasses.replace(f, conjugate_prox=None, conjugate_prox_kernel=None)
+    assert bare.conjugate_prox_kernel is not f.conjugate_prox_kernel
+    return bare
+
+
+def resolvent_paths(functions):
+    """Every resolvent path, name -> operator: for each function of
+    ``functions`` (name -> function) its subdifferential and the closed-form,
+    generic and Moreau inverses, then the rotator and two of its inverses."""
+    ops = {}
+    for name, f in functions.items():
+        op = catalog.subdifferential_operator(f)
+        ops[name] = op
+        ops[f"{name}/closed-inverse"] = op.inverse()
+        ops[f"{name}/generic-inverse"] = dataclasses.replace(op, inverse_factory=None).inverse()
+        moreau = catalog.conjugate_function(moreau_fallback(f))
+        ops[f"{name}/moreau-inverse"] = catalog.subdifferential_operator(moreau)
+    rot = catalog.make_rotator()
+    ops["rotator"] = rot
+    ops["rotator/closed-inverse"] = rot.inverse()
+    ops["rotator/generic-inverse"] = dataclasses.replace(rot, inverse_factory=None).inverse()
+    return ops

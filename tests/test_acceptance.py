@@ -47,15 +47,6 @@ def _report(number, label, failures):
     assert not failures, f"criterion {number}: " + "; ".join(str(f) for f in failures[:5])
 
 
-def _function_entries():
-    return [
-        make_energy(2),
-        make_subspace_indicator([[1.0, 0.0]]),
-        make_burg(),
-        make_shannon(),
-    ]
-
-
 def _draw_primal(f, rng, i):
     if f.name == "energy":
         return rng.normal(size=f.dim)
@@ -80,7 +71,7 @@ def test_criterion_01_chain_inequality():
     rng = np.random.default_rng(42)
     failures = []
     start = time.perf_counter()
-    for f in _function_entries():
+    for f in verify.function_entries():
         A = subdifferential_operator(f)
         for i in range(500):
             x = _draw_primal(f, rng, i)
@@ -100,8 +91,7 @@ def test_criterion_01_chain_inequality():
 
 def test_criterion_02_duality():
     rng = np.random.default_rng(42)
-    operators = [subdifferential_operator(f) for f in _function_entries()]
-    operators.append(make_rotator())
+    operators = verify.operator_entries()
     failures = []
     start = time.perf_counter()
     for A in operators:
@@ -120,8 +110,7 @@ def test_criterion_02_duality():
 
 def test_criterion_03_minty_identities():
     rng = np.random.default_rng(42)
-    operators = [subdifferential_operator(f) for f in _function_entries()]
-    operators.append(make_rotator())
+    operators = verify.operator_entries()
     failures = []
     for A in operators:
         for i in range(100):
@@ -334,7 +323,7 @@ def test_criterion_09_oracle_agreement():
     rng = np.random.default_rng(42)
     failures = []
     start = time.perf_counter()
-    for f in _function_entries():
+    for f in verify.function_entries():
         for x_star in verify.conjugate_queries(f, rng, 50):
             closed = f.conjugate(x_star)
             est = numeric_conjugate(f, x_star)
@@ -387,7 +376,7 @@ def test_criterion_11_equality_flags():
             return x, -1.0 / x
         return x, np.log(x)
 
-    for f in _function_entries():
+    for f in verify.function_entries():
         for i in range(100):
             x, x_star = graph_point(f)
             rep = bound_report(f, GAMMAS[i % len(GAMMAS)], x, x_star)

@@ -275,6 +275,13 @@ def test_pgm_validates_arguments(energy2, subspace_e1):
         pgm_certificates(subspace_e1, energy2, 0.5, 1.0, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("iters", [0, -1])
+def test_pgm_rejects_iters_below_one(energy2, subspace_e1, iters):
+    # 0 would certify y0 against itself, and a negative count certify nothing
+    with pytest.raises(ValueError, match=f"^iters must be >= 1, got {iters}$"):
+        pgm_certificates(energy2, subspace_e1, 0.5, 1.0, [4.0, 3.0], iters=iters)
+
+
 def test_pgm_csv_rows(energy2, subspace_e1):
     trace = pgm_certificates(energy2, subspace_e1, 0.5, 1.0, [4.0, 3.0], iters=5)
     rows = serialize.pgm_csv_rows(trace)

@@ -6,7 +6,8 @@ one is gone.  Installing and uninstalling it here makes a refactor that
 drops such a name fail the test suite, not only a traced benchmark run.
 The tracer also rebuilds catalog entries with ``dataclasses.replace``, so
 every public map must stay a settable field whose wrapped copy computes
-the same bits.
+the same bits, and a wrapped kernel keeps the facts the bounds and the
+cyclic series read from it, so that a traced run takes the untraced route.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxgap import bounds, catalog, core, oracle, verify
+from proxgap import bounds, catalog, core, cyclic, oracle, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -76,3 +77,37 @@ def test_wrapped_entries_compute_the_same_bits(spec, rng):
     wanted = {f"catalog.scalar:{f.name}.prox" for f in functions}
     wanted |= {f"catalog.scalar:{A.name}.resolvent" for A in operators}
     assert wanted <= called
+
+
+@pytest.mark.parametrize("spec", ["burg", "shannon", "rotator"])
+def test_wrapped_series_steps_through_the_formula(spec, rng):
+    # a wrapped resolvent kernel keeps its formula, which the series calls on
+    # Python floats in place of the kernel, as for the bare entry
+    tracer = _load_tracer().Tracer()
+    op = catalog.as_operator(catalog.parse_spec(spec))
+    for A in (op, op.inverse()):
+        wrapped = tracer.wrap_entry(A)
+        assert wrapped.resolvent_kernel is not A.resolvent_kernel
+        for _ in range(4):
+            x = rng.normal(size=A.dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+            x_star = rng.normal(size=A.dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+            schedule = cyclic.GammaSchedule.const(10.0 ** rng.uniform(-2.0, 2.0))
+            want = cyclic.generate_cyclic_sequence(A, x, x_star, schedule, 200)
+            got = cyclic.generate_cyclic_sequence(wrapped, x, x_star, schedule, 200)
+            assert _bits(got) == _bits(want)
+    assert [tracer.names[span[1]] for span in tracer.spans] == []
+
+
+def test_wrapped_subspace_report_reuses_its_gap(rng):
+    # the subspace's Fitzpatrick gap is marked as its gap, and a wrapper keeps
+    # the mark, so a traced report calls the prox and the gap kernel only
+    tracer = _load_tracer().Tracer()
+    f = catalog.parse_spec("subspace:dim=3:basis=1,0,0;0,1,1")
+    wrapped = tracer.wrap_entry(f)
+    u, u_perp = np.array([1.0, 2.0, 2.0]), np.array([0.0, 1.0, -1.0])
+    for x, x_star in ((u, u_perp), (u, u), rng.normal(size=(2, 3))):
+        tracer.spans.clear()
+        want = bounds.bound_report(f, 0.5, x, x_star)
+        assert _bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == _bits(want)
+        called = [tracer.names[span[1]] for span in tracer.spans]
+        assert called == ["catalog.scalar:subspace.prox", "catalog.scalar:subspace.gap_kernel"]

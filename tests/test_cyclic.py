@@ -206,8 +206,14 @@ def test_identity_degenerate_points(rng):
 
 
 def test_identity_requires_points():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="^points must contain at least one pair$"):
         ncyclic_identity_check([1.0], [1.0], [])
+
+
+def test_fitzpatrick_chain_requires_points(energy2):
+    A = subdifferential_operator(energy2)
+    with pytest.raises(ValueError, match="^points must contain at least one pair$"):
+        fitzpatrick_n_lower(A, [1.0, 2.0], [3.0, 4.0], [])
 
 
 @settings(max_examples=200, deadline=None)

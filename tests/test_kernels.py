@@ -18,6 +18,7 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import moreau_fallback, resolvent_paths
 
 from proxgap import catalog, cyclic
 from proxgap.analysis import gamma_sweep
@@ -37,32 +38,7 @@ FUNCTIONS = {
 }
 
 
-def _moreau(f):
-    """f with its closed-form conjugate prox dropped, so the record derives
-    the Moreau flip of its prox."""
-    bare = dataclasses.replace(f, conjugate_prox=None, conjugate_prox_kernel=None)
-    assert bare.conjugate_prox_kernel is not f.conjugate_prox_kernel
-    return bare
-
-
-def _operators():
-    """Every resolvent path: name -> operator."""
-    ops = {}
-    for name, make in FUNCTIONS.items():
-        op = subdifferential_operator(make())
-        ops[name] = op
-        ops[f"{name}/closed-inverse"] = op.inverse()
-        ops[f"{name}/generic-inverse"] = dataclasses.replace(op, inverse_factory=None).inverse()
-        bare = _moreau(make())
-        ops[f"{name}/moreau-inverse"] = subdifferential_operator(conjugate_function(bare))
-    rot = catalog.make_rotator()
-    ops["rotator"] = rot
-    ops["rotator/closed-inverse"] = rot.inverse()
-    ops["rotator/generic-inverse"] = dataclasses.replace(rot, inverse_factory=None).inverse()
-    return ops
-
-
-OPERATORS = _operators()
+OPERATORS = resolvent_paths({name: make() for name, make in FUNCTIONS.items()})
 
 
 def _points(rng, dim, m=ROWS):
@@ -150,7 +126,7 @@ def test_resolvent_kernel_rows_match_public_calls(name, rng):
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_prox_kernels_rows_match_public_calls(name, rng):
     f = FUNCTIONS[name]()
-    for fallback in (f, _moreau(f)):
+    for fallback in (f, moreau_fallback(f)):
         star = conjugate_function(fallback)
         for public, kernel in ((f.prox, f.prox_kernel), (star.prox, star.prox_kernel)):
             z = _points(rng, f.dim)
@@ -373,7 +349,7 @@ def test_series_stops_at_a_two_cycle(burg):
 # the entries whose resolvent kernel is one formula on Python floats, so that
 # their series steps call it on Python floats
 FLOAT_LOOP = sorted(
-    name for name, op in OPERATORS.items() if op.resolvent_kernel in catalog._FORMULAS
+    name for name, op in OPERATORS.items() if hasattr(op.resolvent_kernel, "formula")
 )
 
 
@@ -396,29 +372,34 @@ def _low_dim_operators():
 LOW_DIM = _low_dim_operators()
 
 
-def _loops(op, monkeypatch):
+def _loops(op):
     """The kernels the two loops of ``op``'s series get, with their calls
-    counted: on Python floats the kernel itself (through its formula, if it
-    has one, else on one point), on arrays the kernel wrapped as a tracer
-    wraps it; and the list of calls both append to."""
+    counted, and the list of calls both append to.  The array loop gets a
+    plain closure, which copies no attribute; the float loop gets it too
+    where the kernel has no formula, and else the kernel wrapped as a tracer
+    wraps it, whose ``formula`` is counted."""
     calls = []
     kernel = op.resolvent_kernel
+
+    def plain(gamma, z):
+        calls.append(gamma)
+        return kernel(gamma, z)
+
+    formula = getattr(kernel, "formula", None)
+    if formula is None:
+        return plain, plain, calls
+
+    def counted(gamma, *z):
+        calls.append(gamma)
+        return formula(gamma, *z)
 
     @functools.wraps(kernel)
     def wrapped(gamma, z):
         calls.append(gamma)
         return kernel(gamma, z)
 
-    formula = catalog._FORMULAS.get(kernel)
-    if formula is None:
-        return wrapped, wrapped, calls
-
-    def counted(gamma, *z):
-        calls.append(gamma)
-        return formula(gamma, *z)
-
-    monkeypatch.setitem(catalog._FORMULAS, kernel, counted)
-    return kernel, wrapped, calls
+    wrapped.formula = counted
+    return wrapped, plain, calls
 
 
 def _same_on_both_loops(loops, x, x_star, schedule, n):
@@ -466,15 +447,16 @@ def test_series_loop_is_chosen_by_dim(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(LOW_DIM))
-def test_float_loop_matches_array_loop(name, rng, monkeypatch):
+def test_float_loop_matches_array_loop(name, rng):
     op = LOW_DIM[name]
-    loops = _loops(op, monkeypatch)
+    loops = _loops(op)
     floats, arrays, calls = loops
     n = 300
     inputs = list(zip(_points(rng, op.dim, 4), _points(rng, op.dim, 4), _gammas(rng, 4)))
     inputs += [(np.array([x]), np.array([x_star]), g) for x, x_star, g in TWO_CYCLES.get(name, ())]
     inputs.append((np.full(op.dim, -0.0), np.zeros(op.dim), 1.0))
-    # a kernel with a formula also steps on one point, as when a tracer wraps it
+    # the float loop of a kernel with a formula also steps on one point, as
+    # it does for a wrapper that copies no attributes
     both_ways = [loops] if floats is arrays else [loops, (arrays, arrays, calls)]
     for x, x_star, gamma in inputs:
         for both in both_ways:
@@ -484,11 +466,11 @@ def test_float_loop_matches_array_loop(name, rng, monkeypatch):
             assert _same_on_both_loops(both, x, x_star, schedule, n)[1] == n
 
 
-def test_float_loop_stops_on_bits(rotator, monkeypatch):
+def test_float_loop_stops_on_bits(rotator):
     # a_1* = (0.0, 0.0) equals x* = (-0.0, -0.0) but differs in its bits, so
     # the fixed point stops the loop at the second step
     zero, minus_zero = np.array([0.0, 0.0]), np.array([-0.0, -0.0])
-    loops = _loops(rotator, monkeypatch)
+    loops = _loops(rotator)
     a_star, steps = _same_on_both_loops(loops, zero, minus_zero, GammaSchedule.const(2.0), 5)
     assert steps == 2
     assert a_star.tobytes() == np.zeros((2, 2)).tobytes()
@@ -497,12 +479,12 @@ def test_float_loop_stops_on_bits(rotator, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_float_loop_last_step_edge(rotator, monkeypatch):
+def test_float_loop_last_step_edge(rotator):
     # the resolvent at z = x is (1.2, 0.4) * 1.7e308, past the float range in
     # its first coordinate: one step ends on a* = (-inf, inf), whose next z
     # is not finite
     x, x_star, schedule = np.array([1.7e308, 1.7e308]), np.zeros(2), GammaSchedule.const(0.5)
-    loops = _loops(rotator, monkeypatch)
+    loops = _loops(rotator)
     a_star, _ = _same_on_both_loops(loops, x, x_star, schedule, 1)
     assert a_star.tolist() == [[-np.inf, np.inf]]
     seq = generate_cyclic_sequence(rotator, x, x_star, schedule, 1)

@@ -146,3 +146,9 @@ def test_sampled_fitzpatrick_validates_samples(burg):
     A = subdifferential_operator(burg)
     with pytest.raises(ValueError, match="sample 1 is not in the graph"):
         sampled_fitzpatrick(A, [1.0], [-1.0], [([2.0], [0.5])])
+
+
+def test_sampled_fitzpatrick_requires_samples(burg):
+    A = subdifferential_operator(burg)
+    with pytest.raises(ValueError, match="^samples must contain at least one pair$"):
+        sampled_fitzpatrick(A, [1.0], [-1.0], [])

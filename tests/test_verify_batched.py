@@ -16,6 +16,7 @@ import dataclasses
 import golden
 import numpy as np
 import pytest
+from conftest import resolvent_paths
 
 from proxgap import catalog, verify
 from proxgap.bounds import fitzpatrick_bound
@@ -60,24 +61,7 @@ def _functions():
     }
 
 
-def _operators():
-    ops = {}
-    for name, f in _functions().items():
-        op = subdifferential_operator(f)
-        ops[name] = op
-        ops[f"{name}/closed-inverse"] = op.inverse()
-        ops[f"{name}/generic-inverse"] = dataclasses.replace(op, inverse_factory=None).inverse()
-        bare = dataclasses.replace(f, conjugate_prox=None, conjugate_prox_kernel=None)
-        assert bare.conjugate_prox_kernel is not f.conjugate_prox_kernel
-        ops[f"{name}/moreau-inverse"] = subdifferential_operator(conjugate_function(bare))
-    rot = catalog.make_rotator()
-    ops["rotator"] = rot
-    ops["rotator/closed-inverse"] = rot.inverse()
-    ops["rotator/generic-inverse"] = dataclasses.replace(rot, inverse_factory=None).inverse()
-    return ops
-
-
-OPERATORS = _operators()
+OPERATORS = resolvent_paths(_functions())
 
 
 def _pairs(A, rng, m=60):

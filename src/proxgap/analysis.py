@@ -115,22 +115,23 @@ class ClassifyResult:
     agree: Optional[bool]
 
 
-# The default sweep grid cannot resolve O(gamma) limit approaches at the
-# stated 1e-6 range threshold, so classification sweeps push further.
-_CLASSIFY_LO = 1e-12
-_CLASSIFY_HI = 1e2
-_CLASSIFY_COUNT = 57
+# The default sweep grid cannot resolve O(gamma) limit approaches at the stated 1e-6
+# range threshold, so the classifiers read C further out: np.logspace(-12, 2, 57)[:5].
+_CLASSIFY_GAMMAS = np.logspace(-12.0, -11.0, WINDOW)[:, None]
 
 
 def classify_limit_zero(A, x, x_star):
     """Predict and measure the gamma -> 0+ limit of C_{A,gamma}(x, x*).
 
     Prediction: DIVERGES when x is outside the closure of dom A,
-    CONVERGES_TO(0) when x is in dom A, BOUNDARY otherwise.
+    CONVERGES_TO(0) when x is in dom A, BOUNDARY otherwise.  The measurement
+    reads C at the five gammas nearest the limit, 1e-12 to 1e-11.
     """
-    x = as_vector(x, A.dim, "x")
-    x_star = as_vector(x_star, A.dim, "x_star")
+    return _classify_zero(A, as_vector(x, A.dim, "x"), as_vector(x_star, A.dim, "x_star"))
 
+
+def _classify_zero(A, x, x_star):
+    """:func:`classify_limit_zero` on validated points."""
     if not A.dom.closure_contains(x):
         predicted = LimitClass(KIND_DIVERGES)
     elif A.dom.contains(x):
@@ -138,16 +139,11 @@ def classify_limit_zero(A, x, x_star):
     else:
         predicted = LimitClass(KIND_BOUNDARY)
 
-    sweep = gamma_sweep(A, x, x_star, lo=_CLASSIFY_LO, hi=_CLASSIFY_HI, count=_CLASSIFY_COUNT)
-    empirical = sweep.limit_zero
-
+    gammas = _CLASSIFY_GAMMAS
+    values = _carlier(x, _minty(A.resolvent_kernel, gammas, x, x_star)[1], gammas)
+    empirical = _classify_window(values)
     if predicted.kind == KIND_BOUNDARY:
-        return ClassifyResult(
-            predicted=predicted,
-            empirical=empirical,
-            boundary_value=float(sweep.values[0]),
-            agree=None,
-        )
+        return ClassifyResult(predicted, empirical, boundary_value=float(values[0]), agree=None)
 
     agree = empirical.kind == predicted.kind
     if agree and predicted.kind == KIND_CONVERGES:
@@ -156,10 +152,9 @@ def classify_limit_zero(A, x, x_star):
 
 
 def classify_limit_infinity(A, x, x_star):
-    """The gamma -> infinity limit, by duality the zero limit of A^{-1}."""
-    x = as_vector(x, A.dim, "x")
-    x_star = as_vector(x_star, A.dim, "x_star")
-    return classify_limit_zero(A.inverse(), x_star, x)
+    """The gamma -> inf limit: by duality the 0+ limit of A^{-1} at (x*, x), C at 1e11..1e12."""
+    x, x_star = as_vector(x, A.dim, "x"), as_vector(x_star, A.dim, "x_star")
+    return _classify_zero(A.inverse(), x_star, x)
 
 
 @dataclass(frozen=True)

@@ -143,11 +143,15 @@ def _flipped(kernel):
 
     This is J_{mu A^{-1}} for J = J_A, and prox_{mu f*} (Moreau) for
     J = prox_f.  The rescaled point w/mu is the input of the inner kernel,
-    so its finiteness is checked here, as a public inner call would.
+    so its finiteness is checked here, as a public inner call would, with no
+    numpy warning where w/mu overflows.  J_{mu A^{-1}}(w) may be finite
+    there; returning it needs a per-entry form.
     """
 
     def flipped(mu, w):
-        return w - mu * kernel(1.0 / mu, check_finite(w / mu, "z = w/mu"))
+        with np.errstate(over="ignore"):
+            z = w / mu
+        return w - mu * kernel(1.0 / mu, check_finite(z, "z = w/mu"))
 
     return flipped
 
@@ -161,11 +165,16 @@ def _derive(record, public, wrap, name):
 
 
 def _swapped(pair_map):
-    """(u, u*) -> pair_map(u*, u), or None for None: the graph test or
-    Fitzpatrick gap of an inverse (or a conjugate) from the entry's."""
+    """(u, u*) -> pair_map(u*, u), or None for None: the graph test or Fitzpatrick
+    gap of an inverse (or a conjugate) from the entry's, with its ``equals_gap`` mark."""
     if pair_map is None:
         return None
-    return lambda u, u_star: pair_map(u_star, u)
+
+    def swapped(u, u_star):
+        return pair_map(u_star, u)
+
+    swapped.equals_gap = getattr(pair_map, "equals_gap", False)
+    return swapped
 
 
 @dataclass(frozen=True)
@@ -605,11 +614,6 @@ def make_shannon():
 
 # ---------------------------------------------------------------------------
 # rotator
-
-
-def apply_rotator(x):
-    x = as_vector(x, 2, "x")
-    return np.array([-x[1], x[0]])
 
 
 def make_rotator():

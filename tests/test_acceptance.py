@@ -27,7 +27,6 @@ from proxgap.bounds import (
     minty_decompose,
 )
 from proxgap.catalog import (
-    apply_rotator,
     make_burg,
     make_energy,
     make_rotator,
@@ -165,7 +164,7 @@ def test_criterion_04_closed_form_regressions():
         failures.append("energy peak is not ||x-x*||^2/4")
 
     rot = make_rotator()
-    rsq = float(np.sum((apply_rotator(x) - x_star) ** 2))
+    rsq = float(np.sum((np.array([-x[1], x[0]]) - x_star) ** 2))
     res = gamma_sweep(rot, x, x_star, **grid)
     want = res.gammas / (1.0 + res.gammas**2) * rsq
     if not np.allclose(res.values, want, rtol=1e-12, atol=0.0):

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from proxgap import serialize
+from proxgap import analysis, serialize
 from proxgap.analysis import (
+    ClassifyResult,
+    LimitClass,
     boundary_limit_regressions,
     classify_limit_infinity,
     classify_limit_zero,
@@ -15,9 +17,10 @@ from proxgap.analysis import (
     pgm_certificates,
 )
 from proxgap.catalog import (
-    apply_rotator,
+    as_operator,
     make_energy,
     make_subspace_indicator,
+    parse_spec,
     subdifferential_operator,
 )
 from proxgap.lambertw import lambert_w_exp
@@ -45,7 +48,7 @@ def test_sweep_rotator_closed_form(rotator):
     x = np.array([2.0, -1.0])
     x_star = np.array([0.5, 0.5])
     res = gamma_sweep(rotator, x, x_star)
-    dsq = float(np.sum((apply_rotator(x) - x_star) ** 2))
+    dsq = float(np.sum((np.array([-x[1], x[0]]) - x_star) ** 2))
     want = res.gammas / (1.0 + res.gammas**2) * dsq
     assert np.allclose(res.values, want, rtol=1e-12)
     assert res.argmax_gamma == 1.0
@@ -163,6 +166,96 @@ def test_classify_subspace_membership(subspace_e1):
     assert inside.predicted.kind == "converges" and inside.agree is True
     outside = classify_limit_zero(A, [2.0, 1.0], [1.0, 1.0])
     assert outside.predicted.kind == "diverges" and outside.agree is True
+
+
+CHAIN_SPECS = (
+    "energy:dim=2",
+    "energy:dim=64",
+    "subspace:dim=3:basis=1,0,0;0,1,1",
+    "burg",
+    "shannon",
+    "rotator",
+)
+
+
+def _bits(value):
+    """A result as comparable bits: each leaf's type and bytes, records field by field."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value), np.asarray(value).tobytes()
+
+
+def _swept_classification(A, x, x_star):
+    """The gamma -> 0 classification as the 57-point sweep over 1e-12..1e2 defines it."""
+    sweep = gamma_sweep(A, x, x_star, lo=1e-12, hi=1e2, count=57)
+    empirical = sweep.limit_zero
+    if not A.dom.closure_contains(x):
+        predicted = LimitClass("diverges")
+    elif A.dom.contains(x):
+        predicted = LimitClass("converges", 0.0)
+    else:
+        return ClassifyResult(LimitClass("boundary"), empirical, float(sweep.values[0]), None)
+    agree = empirical.kind == predicted.kind
+    if agree and predicted.kind == "converges":
+        agree = abs(empirical.value - predicted.value) <= 1e-3 * (1.0 + abs(predicted.value))
+    return ClassifyResult(predicted, empirical, None, agree)
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS)
+def test_classifiers_match_the_swept_definition(spec, rng):
+    # the five gammas read are the five smallest of the 57-point grid, so
+    # every field equals the sweep's bit for bit, boundary points included
+    op = as_operator(parse_spec(spec))
+    for A in (op, op.inverse()):
+        points = [(np.zeros(A.dim), rng.normal(size=A.dim))]
+        points += [(rng.normal(size=A.dim), np.zeros(A.dim))]
+        for _ in range(30):
+            x, x_star = rng.normal(size=(2, A.dim)) * 10.0 ** rng.uniform(-3.0, 8.0, size=(2, 1))
+            points.append((x, x_star))
+        for x, x_star in points:
+            want = _swept_classification(A, x, x_star)
+            assert _bits(classify_limit_zero(A, x, x_star)) == _bits(want), (A.name, x, x_star)
+            want = _swept_classification(A.inverse(), x_star, x)
+            assert _bits(classify_limit_infinity(A, x, x_star)) == _bits(want), (A.name, x, x_star)
+
+
+def test_classifiers_read_no_gamma_far_from_their_limit():
+    # z = x + gamma x* overflows from gamma = 31.6 on, where the classifier
+    # reads nothing: x is on U, so C converges to 0 as gamma -> 0
+    A = as_operator(parse_spec("subspace:dim=2:basis=1,0"))
+    zero = classify_limit_zero(A, [1.0, 0.0], [0.0, 1e307])
+    assert zero.empirical == LimitClass("converges", 0.0)
+    assert zero.predicted.describe() == "CONVERGES_TO(0.0)" and zero.agree is True
+    # and by duality at gamma -> inf, where x* is on U-perp
+    infinity = classify_limit_infinity(A, [1e307, 0.0], [0.0, 1.0])
+    assert infinity.empirical == LimitClass("converges", 0.0) and infinity.agree is True
+
+
+def test_classifiers_do_not_sweep(monkeypatch, burg):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a classifier called gamma_sweep")
+
+    monkeypatch.setattr(analysis, "gamma_sweep", no_sweep)
+    A = subdifferential_operator(burg)
+    assert classify_limit_zero(A, [1.0], [1.0]).agree is True
+    assert classify_limit_infinity(A, [1.0], [-1.0]).agree is True
+
+
+def test_classifiers_validate_each_argument_once(monkeypatch, energy2):
+    names = []
+    as_vector = analysis.as_vector
+
+    def counted(value, dim, name):
+        names.append(name)
+        return as_vector(value, dim, name)
+
+    monkeypatch.setattr(analysis, "as_vector", counted)
+    A = subdifferential_operator(energy2)
+    classify_limit_zero(A, X, XSTAR)
+    assert names == ["x", "x_star"]
+    names.clear()
+    classify_limit_infinity(A, X, XSTAR)
+    assert names == ["x", "x_star"]
 
 
 # ----------------------------------------------------- boundary regressions

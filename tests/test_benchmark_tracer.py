@@ -111,3 +111,18 @@ def test_wrapped_subspace_report_reuses_its_gap(rng):
         assert _bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == _bits(want)
         called = [tracer.names[span[1]] for span in tracer.spans]
         assert called == ["catalog.scalar:subspace.prox", "catalog.scalar:subspace.gap_kernel"]
+
+
+def test_wrapped_conjugate_subspace_report_reuses_its_gap(rng):
+    # the conjugate's swapped Fitzpatrick gap keeps the subspace's mark, so its
+    # traced report, too, calls the prox and the gap kernel only
+    tracer = _load_tracer().Tracer()
+    f = catalog.conjugate_function(catalog.parse_spec("subspace:dim=3:basis=1,0,0;0,1,1"))
+    wrapped = tracer.wrap_entry(f)
+    u, u_perp = np.array([1.0, 2.0, 2.0]), np.array([0.0, 1.0, -1.0])
+    for x, x_star in ((u_perp, u), (u, u), rng.normal(size=(2, 3))):
+        tracer.spans.clear()
+        want = bounds.bound_report(f, 0.5, x, x_star)
+        assert _bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == _bits(want)
+        called = [tracer.names[span[1]] for span in tracer.spans]
+        assert called == [f"catalog.scalar:{f.name}.prox", f"catalog.scalar:{f.name}.gap_kernel"]

@@ -256,7 +256,7 @@ def test_fitzpatrick_subspace(subspace_e1):
 
 def test_fitzpatrick_rotator_graph_indicator(rotator):
     x = np.array([1.0, 2.0])
-    assert fitzpatrick_bound(rotator, x, catalog.apply_rotator(x)) == 0.0
+    assert fitzpatrick_bound(rotator, x, np.array([-x[1], x[0]])) == 0.0
     assert fitzpatrick_bound(rotator, x, x) == INF
 
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from proxgap import bounds, catalog
-from proxgap.core import INF
+from proxgap.core import INF, MEMBERSHIP_TOL
 from proxgap.catalog import (
     CATALOG_NAMES,
-    apply_rotator,
     conjugate_function,
     orthonormal_basis,
     parse_spec,
@@ -146,6 +145,37 @@ def test_subspace_value_and_prox(subspace_e1):
 def test_subspace_conjugate_is_orthogonal_indicator(subspace_e1):
     assert subspace_e1.conjugate([0.0, 4.0]) == 0.0
     assert subspace_e1.conjugate([1e-3, 4.0]) == INF
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "subspace:dim=2:basis=1,1",
+        "subspace:dim=3:basis=1,0,0;0,1,1",
+        "subspace:dim=4:basis=1,2,0,1;0,1,-1,3",
+    ],
+)
+def test_conjugate_subspace_gap_is_its_fitzpatrick_gap_on_stacks(spec, rng):
+    # the conjugate keeps the mark, so a report reads its Fitzpatrick gap off
+    # row 0 of a 3-row gap stack; that row decides membership as the one-point
+    # Fitzpatrick gap does, on points 0.5 to 2 tolerances off U or U-perp
+    f = parse_spec(spec)
+    conj = conjugate_function(f)
+    assert conj.fitzpatrick_gap.equals_gap and conj.gap_kernel.equals_gap
+    decided = set()
+    for _ in range(2000):
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 1))
+        x, x_star, a, a_star = rng.normal(size=(4, f.dim)) * scales
+        for v in (x, x_star):
+            p = f.prox_kernel(1.0, v)
+            near, off = (p, v - p) if rng.random() < 0.5 else (v - p, p)
+            scale = MEMBERSHIP_TOL * (1.0 + np.linalg.norm(near)) * rng.uniform(0.5, 2.0)
+            v[:] = near + scale * off / np.linalg.norm(off)
+        row0 = conj.gap_kernel(np.array((x, a, x)), np.array((x_star, x_star, a_star)))[0]
+        one = conj.fitzpatrick_gap(x, x_star)
+        assert row0.tobytes() == one.tobytes(), (x, x_star)
+        decided.add(float(one))
+    assert decided == {0.0, INF}
 
 
 def test_subspace_accepts_unnormalized_spanning_set():
@@ -324,7 +354,6 @@ def test_gradient_witness_names_its_point_as_a_float(name, point, formula):
 def test_rotator_resolvent(rotator):
     a = rotator.resolvent(1.0, np.array([2.0, 0.0]))
     assert np.allclose(a, [1.0, -1.0])
-    assert np.allclose(apply_rotator(np.array([1.0, 0.0])), [0.0, 1.0])
 
 
 def test_rotator_inverse_resolvent(rotator):
@@ -339,8 +368,8 @@ def test_rotator_inverse_resolvent(rotator):
 
 def test_rotator_graph(rotator):
     x = np.array([1.0, 2.0])
-    assert rotator.graph_contains(x, apply_rotator(x))
-    assert not rotator.graph_contains(x, apply_rotator(x) + 0.1)
+    assert rotator.graph_contains(x, np.array([-x[1], x[0]]))
+    assert not rotator.graph_contains(x, np.array([-x[1], x[0]]) + 0.1)
 
 
 # -------------------------------------------------- shared operator laws

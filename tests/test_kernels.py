@@ -519,10 +519,17 @@ def test_sweep_raises_on_non_finite_z(energy2):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
             gamma_sweep(A, [1.0, 0.0], [1e305, 0.0])
-        # the generic flip rescales its point to w/mu, which overflows here
-        flip = dataclasses.replace(A, inverse_factory=None).inverse()
-        with pytest.raises(ValueError, match="non-finite"):
-            gamma_sweep(flip, [1e10, 0.0], [1.0, 0.0], lo=1e-300, hi=1e-290, count=5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_generic_flip_raises_one_error_where_w_over_mu_overflows(energy2):
+    # the generic flip rescales its point to w/mu, which overflows here; its
+    # finiteness check is the one error, with no numpy warning before it
+    flip = dataclasses.replace(subdifferential_operator(energy2), inverse_factory=None).inverse()
+    with pytest.raises(ValueError, match=r"^z = w/mu has non-finite entries"):
+        gamma_sweep(flip, [1e10, 0.0], [1.0, 0.0], lo=1e-300, hi=1e-290, count=5)
+    with pytest.raises(ValueError, match=r"^z = w/mu has non-finite entries"):
+        flip.resolvent(0.5, [1e308, 0.0])
 
 
 def test_series_raises_on_non_finite_z(energy2):

@@ -12,14 +12,17 @@ The gap is each entry's closed form ``f.gap_kernel``, which does not
 cancel near the graph as the sum f(x) + f*(x*) - <x, x*> does.
 ``bound_report`` stacks x, a, x, x*, x*, a* once: the gap kernel takes the
 first three rows against the last three, ``row_norm`` takes all six, and
-:func:`~proxgap.core.within_tolerance` decides each flag on their floats.
+:func:`~proxgap.core.within_tolerance` decides each flag, on floats or rows.
 
-Each public function validates its inputs once and hands the validated
-arrays to the private helpers below, which trust them.  ``_minty``, the
-one place that forms a Minty point z = x + gamma x* and checks it finite,
-gives z and J(z) from the resolvent or kernel it is passed.  ``_minty`` and
-``_carlier`` are row-wise: one point with a float gamma, or an ``(m, dim)``
-stack with an ``(m, 1)`` column.
+``carlier_bound``, ``minty_decompose``, ``dual_carlier_check`` and
+``bound_report`` take one point, or ``(m, dim)`` stacks of x and x* with a
+float or ``(m,)`` gamma and then return ``(m,)`` arrays in place of floats
+and bools.  Each public function validates its inputs once and hands the
+validated arrays to the private helpers below, which trust them.  ``_minty``,
+the one place that forms a Minty point z = x + gamma x* and checks it
+finite, gives z and J(z) from the public map for one point or the kernel for
+a stack.  ``_minty`` and ``_carlier`` are row-wise: one point with a float
+gamma, or an ``(m, dim)`` stack with an ``(m, 1)`` column.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def carlier_bound(A, gamma, x, x_star):
     basis (1, 1) at gamma = 1e-320, x = (1, 2) and x* = (0.5, -1).
     """
     gamma, x, x_star = _query(A.dim, gamma, x, x_star)
-    return float(_carlier(x, _minty(A.resolvent, gamma, x, x_star)[1], gamma))
+    resolvent = A.resolvent if x.ndim == 1 else A.resolvent_kernel
+    return _carlier(x, _minty(resolvent, gamma, x, x_star)[1], gamma)
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,33 @@ class MintyPair:
 def minty_decompose(A, gamma, x, x_star):
     """Resolve (x, x*) into its Minty graph point at parameter gamma."""
     gamma, x, x_star = _query(A.dim, gamma, x, x_star)
-    z, a = _minty(A.resolvent, gamma, x, x_star)
-    return MintyPair(x=x, x_star=x_star, gamma=gamma, a=a, a_star=(z - a) / gamma)
+    one = x.ndim == 1
+    z, a = _minty(A.resolvent if one else A.resolvent_kernel, gamma, x, x_star)
+    return MintyPair(x, x_star, gamma if one else gamma[:, 0], a, (z - a) / gamma)
 
 
 def _query(dim, gamma, x, x_star):
-    """gamma, x and x* of a one-point call, validated in that order."""
-    return as_gamma(gamma), as_vector(x, dim, "x"), as_vector(x_star, dim, "x_star")
+    """gamma, x and x* validated in that order; a stack's gamma as an ``(m, 1)`` column."""
+    # x.ndim, where x is an array, costs a tenth of np.ndim(x)
+    if (x.ndim if isinstance(x, np.ndarray) else np.ndim(x)) != 2:
+        return as_gamma(gamma), as_vector(x, dim, "x"), as_vector(x_star, dim, "x_star")
+    m = len(x)
+    gamma = np.full(m, as_gamma(gamma)) if np.ndim(gamma) == 0 else _rows(gamma, (m,), "gamma")
+    return gamma[:, None], _rows(x, (m, dim), "x"), _rows(x_star, (m, dim), "x_star")
+
+
+def _rows(value, shape, name):
+    """``value`` as float64 rows of ``shape``, ``(m, dim)`` finite points or ``(m,)``
+    positive finite gammas; else ValueError naming ``name`` and its first bad row."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:  # row 0 is too wide or narrow, or the first unpaired row
+        row = min(len(value), shape[0]) if value.shape[1:] == shape[1:] else 0
+        raise ValueError(f"{name} has shape {value.shape}, expected {shape} (first bad row {row})")
+    ok = (value > 0.0) & (value < INF) if value.ndim == 1 else np.isfinite(value).all(axis=1)
+    if not ok.all():
+        i, must = int(ok.argmin()), "positive and finite" if value.ndim == 1 else "finite"
+        raise ValueError(f"{name} row {i} must be {must}, got {value[i].tolist()!r}")
+    return value
 
 
 def _minty(resolvent, gamma, x, x_star):
@@ -93,7 +117,9 @@ def _minty(resolvent, gamma, x, x_star):
 def _carlier(x, a, gamma):
     d = x - a
     if isinstance(gamma, np.ndarray):  # an (m, 1) column divides the (m,) squared norms
-        return np.vecdot(d, d) / gamma[:, 0]
+        sq = np.vecdot(d, d)
+        with np.errstate(over="ignore"):  # +inf where only the quotient overflows, as below
+            return sq / gamma[:, 0]
     # d.dot(d) is the BLAS dot that vecdot's float64 loop calls: the same bits
     # in 0.4 us against 0.7 us.  Past ||d|| of about 1.3e154 it is +inf with
     # numpy's "overflow encountered in dot" warning; the quotient is divided
@@ -109,10 +135,15 @@ def dual_carlier_check(A, gamma, x, x_star):
     Returns (lhs, rhs).
     """
     gamma, x, x_star = _query(A.dim, gamma, x, x_star)
-    _, a = _minty(A.resolvent, gamma, x, x_star)
-    mu = as_gamma(1.0 / gamma, "1/gamma")
-    _, b = _minty(A.inverse().resolvent, mu, x_star, x)
-    return float(_carlier(x, a, gamma)), float(_carlier(x_star, b, mu))
+    one, inverse = x.ndim == 1, A.inverse()
+    if one:
+        mu = as_gamma(1.0 / gamma, "1/gamma")
+    else:
+        with np.errstate(over="ignore"):  # the row whose 1/gamma overflows is named
+            mu = _rows(1.0 / gamma[:, 0], (len(x),), "1/gamma")[:, None]
+    _, a = _minty(A.resolvent if one else A.resolvent_kernel, gamma, x, x_star)
+    _, b = _minty(inverse.resolvent if one else inverse.resolvent_kernel, mu, x_star, x)
+    return _carlier(x, a, gamma), _carlier(x_star, b, mu)
 
 
 def fitzpatrick_bound(entry, x, x_star):
@@ -125,15 +156,6 @@ def fitzpatrick_bound(entry, x, x_star):
         return None
     x, x_star = as_vector(x, entry.dim, "x"), as_vector(x_star, entry.dim, "x_star")
     return float(entry.fitzpatrick_gap(x, x_star))
-
-
-def _fitzpatrick(f, x, x_star, gap):
-    """F(x, x*) - <x, x*> row-wise, or None without a closed form; ``gap``, the
-    Fenchel-Young gap at (x, x*), where f marks its Fitzpatrick gap ``equals_gap``."""
-    fitz = f.fitzpatrick_gap
-    if fitz is None:
-        return None
-    return gap if getattr(fitz, "equals_gap", False) else fitz(x, x_star)
 
 
 def pair_inequality_check(f, x, x_star, y, y_star):
@@ -173,6 +195,7 @@ class BoundReport:
     ``gap_zero`` records Fenchel-Young equality (graph membership);
     ``gap_equals_carlier`` records the sharpness condition: the Minty
     point satisfies a in df*(x*) and (x + gamma x* - a)/gamma in df(x).
+    A stack's report holds ``(m,)`` arrays in place of floats and bools.
     """
 
     x: np.ndarray
@@ -186,27 +209,33 @@ class BoundReport:
 
 
 def bound_report(f, gamma, x, x_star):
-    """Evaluate gap, Fitzpatrick gap, and Carlier bound at one query."""
+    """Evaluate gap, Fitzpatrick gap, and Carlier bound at one query or a stack."""
     gamma, x, x_star = _query(f.dim, gamma, x, x_star)
+    one = x.ndim == 1
 
-    z, a = _minty(f.prox, gamma, x, x_star)
+    z, a = _minty(f.prox if one else f.prox_kernel, gamma, x, x_star)
     # the gaps at (x, x*) and, for the sharpness test, at (a, x*) and (x, a*),
     # and the norms of these points, from one stack
     stack = np.array((x, a, x, x_star, x_star, (z - a) / gamma))
-    norm_x, norm_a, _, norm_xs, _, norm_as = row_norm(stack).tolist()
-    gap_x, gap_a, gap_as = f.gap_kernel(stack[:3], stack[3:]).tolist()
-    fitz = _fitzpatrick(f, x, x_star, gap_x)
+    norms, gaps = row_norm(stack), f.gap_kernel(stack[:3], stack[3:])
+    norm_x, norm_a, _, norm_xs, _, norm_as = norms.tolist() if one else norms
+    gap_x, gap_a, gap_as = gaps.tolist() if one else gaps
+    fitz = f.fitzpatrick_gap
+    if fitz is not None:  # f may mark its Fitzpatrick gap ``equals_gap``: the gap itself
+        fitz = gap_x if getattr(fitz, "equals_gap", False) else fitz(x, x_star)
+    sharp = within_tolerance(gap_a, (norm_a, norm_xs))
+    if sharp is not False:  # one point skips the second test where the first fails
+        sharp = sharp & within_tolerance(gap_as, (norm_x, norm_as))
 
     return BoundReport(
         x=x,
         x_star=x_star,
-        gamma=gamma,
+        gamma=gamma if one else gamma[:, 0],
         gap=gap_x,
-        fitzpatrick=None if fitz is None else float(fitz),
-        carlier=float(_carlier(x, a, gamma)),
+        fitzpatrick=float(fitz) if one and fitz is not None else fitz,
+        carlier=_carlier(x, a, gamma),
         gap_zero=within_tolerance(gap_x, (norm_x, norm_xs)),
-        gap_equals_carlier=within_tolerance(gap_a, (norm_a, norm_xs))
-        and within_tolerance(gap_as, (norm_x, norm_as)),
+        gap_equals_carlier=sharp,
     )
 
 

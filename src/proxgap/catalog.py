@@ -133,7 +133,10 @@ def _elementwise_gap(scalar_gap):
     def kernel(x, x_star):
         pairs = zip(x.ravel().tolist(), x_star.ravel().tolist(), strict=True)
         gaps = [scalar_gap(s, t) for s, t in pairs]
-        return np.float64(gaps[0]) if x.ndim == 1 else np.array(gaps)
+        if x.ndim == 1:
+            return np.float64(gaps[0])
+        # a reshape costs as much again as the array: skip it where it changes nothing
+        return np.array(gaps) if x.ndim == 2 else np.array(gaps).reshape(x.shape[:-1])
 
     return kernel
 
@@ -517,7 +520,8 @@ def make_burg():
             return 0.5 * s + half
         return gamma / (half - 0.5 * s)
 
-    # log1p(p - 1) keeps phi exact to rounding near the graph (p = 1); below
+    # phi(1 + q) = q - log1p(q) has a relative error of 2u/|q| near the graph,
+    # so below |q| = 2^-5 it is the series q^2/2 - q^3/3 + ... to q^12; below
     # p = 0.5, where p can underflow, ln p is ln x + ln(-x*)
     def scalar_gap(s, t):
         p = -s * t
@@ -525,7 +529,11 @@ def make_burg():
             return INF
         if p < 0.5:
             return p - 1.0 - (math.log(s) + math.log(-t))
-        return (p - 1.0) - math.log1p(p - 1.0)
+        q = p - 1.0
+        if abs(q) < 2.0**-5:
+            tail = 1 / 7 - q * (1 / 8 - q * (1 / 9 - q * (1 / 10 - q * (1 / 11 - q / 12))))
+            return q * q * (0.5 - q * (1 / 3 - q * (1 / 4 - q * (1 / 5 - q * (1 / 6 - q * tail)))))
+        return q - math.log1p(q)
 
     def conjugate_kernel(x_star):
         return value_kernel(-x_star) - 1.0

@@ -10,14 +10,12 @@ its energy cross-graph pairs compute both sides as the same bits.
 
 The suites evaluate stacks.  Each catalog entry draws all of its inputs
 as one block, in the order a loop over single points would draw them,
-repeats each point once per gamma of ``GAMMA_SET`` against an ``(m, 1)``
-gamma column, and makes one row-wise call per quantity: the ``bounds``
-helpers (``_minty`` for every Minty point), the catalog kernels, one
-inverse per operator and one shared grid for the oracle's conjugate
-queries.  Every check, tolerance and finiteness check of the per-point
+repeats each point once per gamma of ``GAMMA_SET``, and passes the stacks
+to the public ``bounds`` functions, the catalog kernels and, for the
+oracle's conjugate queries, one shared grid.  Every check of the per-point
 loops is kept, so the counts and the failure messages are theirs; a message
-is formatted only for a failure that gets reported, from the public
-per-point call where there is one.
+is formatted only for a failure that gets reported, from the one-point call
+where there is one.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _carlier, _fitzpatrick, _minty, bound_report, chain_links
-from .bounds import dual_carlier_check, pair_inequality_check
+from .bounds import bound_report, chain_links, dual_carlier_check, minty_decompose
+from .bounds import pair_inequality_check
 from .catalog import (
     make_burg,
     make_energy,
@@ -108,14 +106,14 @@ def _domain_points(f, draws):
 
 
 def _over_gammas(*points):
-    """The ``(m, 1)`` gamma column and each point stack repeated to match:
-    every point once per gamma of ``GAMMA_SET``, point-major."""
-    gamma = np.tile(GAMMA_SET, len(points[0]))[:, None]
+    """The ``(m,)`` gammas and each point stack repeated to match: every
+    point once per gamma of ``GAMMA_SET``, point-major."""
+    gamma = np.tile(GAMMA_SET, len(points[0]))
     return (gamma, *(np.repeat(p, len(GAMMA_SET), axis=0) for p in points))
 
 
 def _label(name, gamma, x, x_star, r):
-    return f"{name} gamma={float(gamma[r, 0])} x={x[r].tolist()} x_star={x_star[r].tolist()}"
+    return f"{name} gamma={float(gamma[r])} x={x[r].tolist()} x_star={x_star[r].tolist()}"
 
 
 def run_chain_suite(rng, slack=None):
@@ -125,14 +123,12 @@ def run_chain_suite(rng, slack=None):
         # normal draws are finite, and so are the points made from them
         draws = rng.normal(size=(50, 2, f.dim))
         gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
-        g = f.gap_kernel(x, x_star)
-        c = _carlier(x, _minty(f.prox_kernel, gamma, x, x_star)[1], gamma)
-        fitz = _fitzpatrick(f, x, x_star, g)
-        fitz_ok, capped, nonnegative = chain_links(g, fitz, c, s)
+        rep = bound_report(f, gamma, x, x_star)
+        fitz_ok, capped, nonnegative = chain_links(rep.gap, rep.fitzpatrick, rep.carlier, s)
         ok = fitz_ok & capped & nonnegative
 
         def message(r):
-            rep = bound_report(f, gamma[r, 0], x[r], x_star[r])
+            rep = bound_report(f, gamma[r], x[r], x_star[r])
             return (
                 f"{_label(f.name, gamma, x, x_star, r)}: "
                 f"gap={rep.gap!r} fitz={rep.fitzpatrick!r} carlier={rep.carlier!r}"
@@ -148,13 +144,11 @@ def run_duality_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(40, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        lhs = _carlier(x, _minty(A.resolvent_kernel, gamma, x, x_star)[1], gamma)
-        mu = 1.0 / gamma
-        rhs = _carlier(x_star, _minty(A.inverse().resolvent_kernel, mu, x_star, x)[1], mu)
+        lhs, rhs = dual_carlier_check(A, gamma, x, x_star)
         ok = np.abs(lhs - rhs) <= s * (1.0 + np.abs(lhs))
 
         def message(r):
-            lhs_r, rhs_r = dual_carlier_check(A, gamma[r, 0], x[r], x_star[r])
+            lhs_r, rhs_r = dual_carlier_check(A, gamma[r], x[r], x_star[r])
             return f"{_label(A.name, gamma, x, x_star, r)}: lhs={lhs_r!r} rhs={rhs_r!r}"
 
         result.record(ok, message)
@@ -175,17 +169,17 @@ def run_minty_suite(rng, slack=None):
     for A in operator_entries():
         draws = rng.normal(size=(20, 2, A.dim))
         gamma, x, x_star = _over_gammas(draws[:, 0], draws[:, 1])
-        z, a = _minty(A.resolvent_kernel, gamma, x, x_star)
-        check_finite(a, "a")
-        a_star = check_finite((z - a) / gamma, "a_star")
+        pair = minty_decompose(A, gamma, x, x_star)
+        a, a_star = check_finite(pair.a, "a"), check_finite(pair.a_star, "a_star")
+        z = x + gamma[:, None] * x_star
 
-        m3 = np.max(np.abs(z - (a + gamma * a_star)), axis=1)
+        m3 = np.max(np.abs(z - (a + gamma[:, None] * a_star)), axis=1)
         d, e = x - a, x_star - a_star
         sq = np.vecdot(d, d)
         identities = (
             ("joint norm", sq + np.vecdot(e, e), joint * sq),
             ("difference norm", np.vecdot(d - e, d - e), difference * sq),
-            ("key product", np.vecdot(a - x, e), sq / gamma[:, 0]),
+            ("key product", np.vecdot(a - x, e), sq / gamma),
         )
         ok = np.column_stack(
             [A.graph_kernel(a, a_star), m3 <= s_exact]
@@ -241,10 +235,10 @@ def run_pair_suite(rng, slack=None):
         lhs_r, rhs_r = pair_inequality_check(energy, x[r], y[r], y[r], x[r])
         return f"{label(r)}: lhs={lhs_r!r} rhs={rhs_r!r}"
 
-    for r in range(len(x)):
-        result.record([equal[r]], lambda _: unequal(r))
-        if equal[r]:
-            result.record([member[r]], lambda _: f"{label(r)}: membership lost")
+    # member holds on every row (energy's gap at (x, x) is 0): no report moves
+    rows = np.flatnonzero(equal)
+    result.record(equal, unequal)
+    result.record(member[rows], lambda i: f"{label(rows[i])}: membership lost")
     return result
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -53,6 +54,9 @@ def test_carlier_overflow_is_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert carlier_bound(A, 1e-320, [1, 2], [0.5, -1]) == INF
+        # and on a stack, row by row
+        got = carlier_bound(A, [1e-320, 1.0], [[1, 2], [1, 2]], [[0.5, -1], [0.5, -1]])
+        assert got.tolist() == [INF, carlier_bound(A, 1.0, [1, 2], [0.5, -1])]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 64])
@@ -216,10 +220,12 @@ def test_dual_carlier_graph_point(energy2):
 
 
 HUGE = [1e308, 0.0]
+TWO = [[1.0, 0.0], HUGE]
 
 
-# every caller of bounds._minty outside ``verify``, whose suites draw normal
-# points at gamma <= 100 and so never form a non-finite Minty point
+# every caller of bounds._minty, on one point and on a stack whose second row
+# overflows; verify's suites draw normal points at gamma <= 100 and so never
+# form a non-finite Minty point
 @pytest.mark.parametrize(
     "call",
     [
@@ -227,10 +233,18 @@ HUGE = [1e308, 0.0]
         pytest.param(lambda f, A: bound_report(f, 1.0, HUGE, HUGE), id="bound_report"),
         pytest.param(lambda f, A: carlier_bound(A, 1.0, HUGE, HUGE), id="carlier_bound"),
         pytest.param(lambda f, A: minty_decompose(A, 1.0, HUGE, HUGE), id="minty_decompose"),
+        pytest.param(lambda f, A: dual_carlier_check(A, 1.0, TWO, TWO), id="stacked-duality-left"),
+        pytest.param(lambda f, A: bound_report(f, [1.0, 2.0], TWO, TWO), id="stacked-bound_report"),
+        pytest.param(lambda f, A: carlier_bound(A, 1.0, TWO, TWO), id="stacked-carlier_bound"),
+        pytest.param(lambda f, A: minty_decompose(A, 1.0, TWO, TWO), id="stacked-minty_decompose"),
         # x + gamma x* = 1e300 is finite, x* + x / gamma is not
         pytest.param(
             lambda f, A: dual_carlier_check(A, 1e-10, [1e300, 0.0], [0.0, 0.0]),
             id="duality-right",
+        ),
+        pytest.param(
+            lambda f, A: dual_carlier_check(A, 1e-10, [[1.0, 0.0], [1e300, 0.0]], np.zeros((2, 2))),
+            id="stacked-duality-right",
         ),
         # z overflows at gamma = 3162.2776601683795 of the default grid
         pytest.param(lambda f, A: gamma_sweep(A, [1.0, 0.0], [1e305, 0.0]), id="gamma_sweep"),
@@ -240,6 +254,58 @@ def test_overflowing_minty_point_has_one_message(energy2, call):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^z has non-finite entries"):
             call(energy2, subdifferential_operator(energy2))
+
+
+# ---------------------------------------------------------------- stacks
+
+NAN, STACK, FOUR = math.nan, np.zeros((3, 2)), np.zeros((4, 2))
+
+
+def _stacked_calls(f, gamma, x, x_star):
+    A = subdifferential_operator(f)
+    yield lambda: bound_report(f, gamma, x, x_star)
+    yield lambda: carlier_bound(A, gamma, x, x_star)
+    yield lambda: minty_decompose(A, gamma, x, x_star)
+    yield lambda: dual_carlier_check(A, gamma, x, x_star)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "gamma, x, x_star, message",
+    [
+        (1.0, np.zeros((3, 3)), STACK, "x has shape (3, 3), expected (3, 2) (first bad row 0)"),
+        (1.0, STACK, STACK[:2], "x_star has shape (2, 2), expected (3, 2) (first bad row 2)"),
+        (1.0, STACK, FOUR, "x_star has shape (4, 2), expected (3, 2) (first bad row 3)"),
+        (1.0, STACK, [0.0, 0.0], "x_star has shape (2,), expected (3, 2) (first bad row 0)"),
+        ([1.0, 1.0], STACK, STACK, "gamma has shape (2,), expected (3,) (first bad row 2)"),
+        (np.ones((3, 1)), STACK, STACK, "gamma has shape (3, 1), expected (3,) (first bad row 0)"),
+        (1.0, [[0, 0], [0, NAN], [INF, 0]], STACK, "x row 1 must be finite, got [0.0, nan]"),
+        (1.0, STACK, [[0, 0], [0, 0], [-INF, 0]], "x_star row 2 must be finite, got [-inf, 0.0]"),
+        ([1.0, 0.0, -1.0], STACK, STACK, "gamma row 1 must be positive and finite, got 0.0"),
+        ([1.0, 1.0, -1.0], STACK, STACK, "gamma row 2 must be positive and finite, got -1.0"),
+        ([INF, 1.0, 1.0], STACK, STACK, "gamma row 0 must be positive and finite, got inf"),
+        ([1.0, NAN, 1.0], STACK, STACK, "gamma row 1 must be positive and finite, got nan"),
+        (0.0, STACK, STACK, "gamma must be positive and finite, got 0.0"),
+    ],
+)
+def test_stacked_input_errors_name_their_first_bad_row(energy2, gamma, x, x_star, message):
+    for call in _stacked_calls(energy2, gamma, x, x_star):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_dual_carlier_names_the_row_whose_inverse_gamma_overflows(energy2):
+    # the one-point message, at the first row where 1/gamma is +inf, and no numpy warning
+    A = subdifferential_operator(energy2)
+    message = r"^1/gamma row 1 must be positive and finite, got inf$"
+    with pytest.raises(ValueError, match=message):
+        dual_carlier_check(A, [1.0, 1e-320, 1e-320], STACK, STACK)
+    with pytest.raises(ValueError, match=message.replace("row 1", "row 0")):
+        dual_carlier_check(A, 1e-320, STACK, STACK)
+    # the other stacked calls take such a gamma
+    for call in list(_stacked_calls(energy2, [1.0, 1e-320, 1.0], STACK, STACK))[:3]:
+        call()
 
 
 # ----------------------------------------------------------- fitzpatrick

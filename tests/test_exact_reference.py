@@ -2,10 +2,10 @@
 
 Energy's Bregman distance 0.5 ||x - y||^2 and every chain sum on its graph
 (a* = a) are rational in the float inputs, so ``fractions.Fraction`` gives
-their true values.  Burg's and Shannon's Bregman distances are compared with
-60-digit mpmath.  The points lie near the graph, at magnitudes 1e-3..1e8 and
-offsets of 1e-12..1e-1 relative, where f(x) - f(y) - <x - y, grad f(y)> and
-the raw pairings <a, a*> cancel.
+their true values.  Burg's and Shannon's Bregman distances, and Burg's gap on
+exact input, are compared with 60-digit mpmath.  The points lie near the
+graph, at magnitudes 1e-3..1e8 and offsets of 1e-12..1e-1 relative, where
+f(x) - f(y) - <x - y, grad f(y)> and the raw pairings <a, a*> cancel.
 """
 
 import math
@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from proxgap.bounds import bregman_distance
+from proxgap.bounds import bregman_distance, gap
 from proxgap.catalog import make_burg, make_energy, make_shannon, subdifferential_operator
 from proxgap.cyclic import fitzpatrick_n_lower
 from proxgap.oracle import sampled_fitzpatrick
@@ -106,20 +106,21 @@ def test_sampled_fitzpatrick_keeps_a_small_value_at_a_large_point():
 
 # Rounding grad f(y) by half an ulp moves the gap G_f(x, x*) by |x - y| u |grad f(y)|
 # to first order, since dG/dx* = grad f*(x*) - x is y - x at x* = grad f(y).  The
-# gap kernel's own roundings are of the same order: Burg's product x x* and its
-# log1p each move it by about u |x - y| / y, and Shannon's d = x* - ln x is
+# gap kernel's own roundings are of the same order: Burg's product x x* moves it
+# by about u |x - y| / y, and so does its log1p where |x/y - 1| >= 2^-5 (below,
+# its series adds a relative error of a few u only); Shannon's d = x* - ln x is
 # off by about u, which moves it by about u |x - y|.  So the bound is
-# 4 u |x - y| times 1 / y (Burg) or 1 + |ln y| (Shannon); on 20,000 draws the
-# worst error was 2.6 and 1.3 of these units.
+# 3 u |x - y| / y (Burg) and 4 u |x - y| (1 + |ln y|) (Shannon); on 20,000
+# draws the worst error was 2.7 and 1.3 of these units.
 @pytest.mark.parametrize(
     "f, value, gradient, scale",
     [
-        (make_burg(), lambda t: -mpmath.log(t), lambda t: -1 / t, lambda y: 1.0 / y),
+        (make_burg(), lambda t: -mpmath.log(t), lambda t: -1 / t, lambda y: 3.0 / y),
         (
             make_shannon(),
             lambda t: t * mpmath.log(t) - t,
             mpmath.log,
-            lambda y: 1.0 + abs(math.log(y)),
+            lambda y: 4.0 * (1.0 + abs(math.log(y))),
         ),
     ],
     ids=["burg", "shannon"],
@@ -133,4 +134,16 @@ def test_bregman_distance_matches_mpmath(f, value, gradient, scale):
             X, Y = mpmath.mpf(x), mpmath.mpf(y)
             want = value(X) - value(Y) - (X - Y) * gradient(Y)
             err = abs(mpmath.mpf(bregman_distance(f, [x], [y])) - want)
-            assert err <= 4.0 * ROUNDOFF * abs(x - y) * scale(y), (x, y)
+            assert err <= ROUNDOFF * abs(x - y) * scale(y), (x, y)
+
+
+def test_burg_gap_keeps_its_digits_near_the_graph():
+    # x* = -1 makes p = -x x* = x exact, so only phi(p) = p - 1 - ln p rounds;
+    # q - log1p(q) at q = p - 1 missed by up to 2u/|q|, 1.7e-4 at |q| = 1e-12
+    f = make_burg()
+    rng = np.random.default_rng(2205)
+    with mpmath.workdps(60):
+        for _ in range(1000):
+            x = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -1.0)
+            want = (mpmath.mpf(x) - 1) - mpmath.log(x)
+            assert abs(gap(f, [x], [-1.0]) - want) <= 1e-14 * want, x

@@ -7,8 +7,9 @@ per-point suites wrote them: plain loops over the public API that drew one
 point at a time and formatted a message for every check.  The stacked
 conjugate oracle must likewise give the per-query scans' answers in
 ``tests/data/oracle_records.json`` (see ``golden.py``).  The row-wise
-Fitzpatrick and graph kernels, and the shared round-0 grid of
-``numeric_conjugate``, must equal their one-point calls bit for bit.
+Fitzpatrick and graph kernels, the stacked ``bounds`` calls the suites make,
+and the shared round-0 grid of ``numeric_conjugate``, must equal their
+one-point calls bit for bit.
 """
 
 import dataclasses
@@ -19,7 +20,13 @@ import pytest
 from conftest import resolvent_paths
 
 from proxgap import catalog, verify
-from proxgap.bounds import fitzpatrick_bound
+from proxgap.bounds import (
+    bound_report,
+    carlier_bound,
+    dual_carlier_check,
+    fitzpatrick_bound,
+    minty_decompose,
+)
 from proxgap.catalog import conjugate_function, subdifferential_operator
 from proxgap.core import INF
 from proxgap.oracle import numeric_conjugate
@@ -111,6 +118,75 @@ def test_fitzpatrick_kernel_rows_equal_public_calls(name):
     rows = entry.fitzpatrick_gap(x, x_star)
     one = np.array([fitzpatrick_bound(entry, x[i], x_star[i]) for i in range(len(x))])
     assert rows.shape == one.shape and rows.tobytes() == one.tobytes()
+
+
+# ------------------------------------------------ stacked bounds calls
+
+
+def _assert_rows(stacked, one):
+    """Row i of ``stacked`` has the dtype and bytes of the one-point result i."""
+    want = np.array(one)
+    assert stacked.dtype == want.dtype and stacked.shape == want.shape
+    assert stacked.tobytes() == want.tobytes()
+
+
+def _row_gammas(rng, m):
+    # an (m,) gamma per row, and one float for the whole stack
+    return 10.0 ** rng.uniform(-2.0, 2.0, size=m), 0.5
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_stacked_duality_carlier_and_minty_rows_equal_one_point_calls(name):
+    A = OPERATORS[name]
+    rng = np.random.default_rng(17)
+    x, x_star = _pairs(A, rng)
+    for gamma in _row_gammas(rng, len(x)):
+        g = np.broadcast_to(gamma, len(x)).tolist()
+        lhs, rhs = dual_carlier_check(A, gamma, x, x_star)
+        one = [dual_carlier_check(A, g[i], x[i], x_star[i]) for i in range(len(x))]
+        assert all(type(v) is float for pair in one for v in pair)
+        _assert_rows(lhs, [v for v, _ in one])
+        _assert_rows(rhs, [v for _, v in one])
+        _assert_rows(
+            carlier_bound(A, gamma, x, x_star),
+            [carlier_bound(A, g[i], x[i], x_star[i]) for i in range(len(x))],
+        )
+        pair = minty_decompose(A, gamma, x, x_star)
+        one = [minty_decompose(A, g[i], x[i], x_star[i]) for i in range(len(x))]
+        _assert_rows(pair.gamma, [p.gamma for p in one])
+        _assert_rows(pair.a, [p.a for p in one])
+        _assert_rows(pair.a_star, [p.a_star for p in one])
+
+
+REPORT_FUNCTIONS = _functions()
+for _name, _f in _functions().items():
+    REPORT_FUNCTIONS[f"{_name}/conjugate"] = conjugate_function(_f)
+
+# the type of each one-point report field; the rest are Python floats
+FIELD_TYPES = {"x": np.ndarray, "x_star": np.ndarray, "gap_zero": bool, "gap_equals_carlier": bool}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(REPORT_FUNCTIONS))
+def test_stacked_bound_report_rows_equal_one_point_reports(name):
+    f = REPORT_FUNCTIONS[name]
+    rng = np.random.default_rng(19)
+    x, x_star = _pairs(subdifferential_operator(f), rng)
+    for gamma in _row_gammas(rng, len(x)):
+        g = np.broadcast_to(gamma, len(x)).tolist()
+        rep = bound_report(f, gamma, x, x_star)
+        one = [bound_report(f, g[i], x[i], x_star[i]) for i in range(len(x))]
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), [getattr(r, field.name) for r in one]
+            if field.name == "fitzpatrick" and f.fitzpatrick_gap is None:
+                assert got is None and want == [None] * len(x)
+                continue
+            assert all(type(w) is FIELD_TYPES.get(field.name, float) for w in want)
+            _assert_rows(got, want)
+        assert any(r.gap_zero for r in one) and not all(r.gap_zero for r in one)
 
 
 # ---------------------------------------------------- shared oracle grid

@@ -81,11 +81,12 @@ def minty_decompose(A, gamma, x, x_star):
 
 def _query(dim, gamma, x, x_star):
     """gamma, x and x* validated in that order; a stack's gamma as an ``(m, 1)`` column."""
-    # x.ndim, where x is an array, costs a tenth of np.ndim(x)
+    # x.ndim, where x is an array, costs a tenth of np.ndim(x), as a type test does for gamma
     if (x.ndim if isinstance(x, np.ndarray) else np.ndim(x)) != 2:
         return as_gamma(gamma), as_vector(x, dim, "x"), as_vector(x_star, dim, "x_star")
     m = len(x)
-    gamma = np.full(m, as_gamma(gamma)) if np.ndim(gamma) == 0 else _rows(gamma, (m,), "gamma")
+    scalar = type(gamma) is float or np.ndim(gamma) == 0
+    gamma = np.full(m, as_gamma(gamma)) if scalar else _rows(gamma, (m,), "gamma")
     return gamma[:, None], _rows(x, (m, dim), "x"), _rows(x_star, (m, dim), "x_star")
 
 
@@ -96,8 +97,9 @@ def _rows(value, shape, name):
     if value.shape != shape:  # row 0 is too wide or narrow, or the first unpaired row
         row = min(len(value), shape[0]) if value.shape[1:] == shape[1:] else 0
         raise ValueError(f"{name} has shape {value.shape}, expected {shape} (first bad row {row})")
-    ok = (value > 0.0) & (value < INF) if value.ndim == 1 else np.isfinite(value).all(axis=1)
-    if not ok.all():
+    ok = (value > 0.0) & (value < INF) if value.ndim == 1 else np.isfinite(value)
+    if np.count_nonzero(ok) != value.size:  # the first bad row only where there is one
+        ok = ok if value.ndim == 1 else ok.all(axis=1)
         i, must = int(ok.argmin()), "positive and finite" if value.ndim == 1 else "finite"
         raise ValueError(f"{name} row {i} must be {must}, got {value[i].tolist()!r}")
     return value

@@ -29,8 +29,9 @@ Burg's and Shannon's proxes, conjugate proxes and gaps and the rotator's
 resolvent (:func:`_pointwise`) are one formula on Python floats each, which
 every point goes through, alone or in a stack, and which raises no warning.
 Facts about a kernel are its attributes, which a ``functools.wraps`` wrapper
-copies: ``formula`` on those kernels, and ``equals_gap`` on a Fitzpatrick
-gap that is the entry's gap kernel (the subspace's).
+copies: ``formula`` on those kernels and on energy's prox kernel, whose float
+formula is the same single division as the kernel, and ``equals_gap`` on a
+Fitzpatrick gap that is the entry's gap kernel (the subspace's).
 The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
 and ``resolvent`` are the kernels behind one ``as_vector`` call, and the
 last three reject a gamma that is not positive and finite before it (see
@@ -354,6 +355,12 @@ def make_energy(dim):
 
     def prox_kernel(gamma, z):
         return z / (1.0 + gamma)
+
+    def formula(gamma, *z):  # the kernel's division, coordinate by coordinate
+        d = 1.0 + gamma
+        return [c / d for c in z]
+
+    prox_kernel.formula = formula
 
     def fitz_gap(x, x_star):
         d = x - x_star

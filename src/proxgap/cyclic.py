@@ -9,8 +9,8 @@ single Carlier term into a series: with a_0* = x* and
 each partial sum of ||x - a_k||^2 / gamma_k lower-bounds the gap of the
 Fitzpatrick function of order n at (x, x*), and for A = df the whole
 series is dominated by the Fenchel-Young gap.  A series of a few coordinates
-steps through the resolvent kernel's ``formula`` attribute where it has one
-(:func:`proxgap.catalog._pointwise`), which a ``functools.wraps`` wrapper keeps.
+steps through the resolvent kernel's ``formula`` where it has one (energy's
+prox, :func:`proxgap.catalog._pointwise`), which ``functools.wraps`` keeps.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ def generate_cyclic_sequence(A, x, x_star, schedule, n_terms):
     2-cycle) stops the loop, and the remaining rows repeat rows
     k + 1 - p .. k in turn.  A ``values=`` schedule never stops early.
 
-    For A.dim <= 7 the steps run on Python floats, z checked on each, and
-    call the kernel's formula on floats where it has one (Burg, Shannon, the
-    rotator) or else the kernel on one point; wider points step on arrays, z
-    checked after the loop, as the float loop's cost grows with the dim and
-    the array loop's does not.  Both give the same bits, and no series
-    raises a numpy warning.
+    For A.dim <= 7 the steps run on Python floats, z checked on each (one
+    coordinate on float locals), and call the kernel's formula on floats where
+    it has one (Burg, Shannon, energy, the rotator) or else the kernel on one
+    point; wider points step on arrays, z checked after the loop, as the float
+    loop's cost grows with the dim and the array loop's does not.  Both give
+    the same bits, and no series raises a numpy warning.
     """
     x = as_vector(x, A.dim, "x")
     x_star = as_vector(x_star, A.dim, "x_star")
@@ -165,35 +165,61 @@ def _array_steps(resolvent, x, x_star, gammas, constant, a, a_star):
 def _float_steps(resolvent, x, x_star, gammas, constant, a, a_star):
     """:func:`_array_steps` on Python floats, with z checked on each step.
 
-    A step calls the kernel's ``formula`` attribute, else the kernel on one point.
+    A step calls the kernel's ``formula`` attribute, else the kernel on one
+    point; a point of one coordinate steps on float locals (:func:`_scalar_steps`).
     """
     formula = getattr(resolvent, "formula", None)
     formula = formula or (lambda gamma, *z: resolvent(gamma, np.array(z)).tolist())
     xs, s = x.tolist(), x_star.tolist()
-    z, coords = list(xs), range(len(xs))
-    a_coords, a_star_coords = [], []  # coordinates of a_1, a_2, ... and of a_1*, a_2*, ...
-    last, before, period = s, None, 0
-    for gamma in gammas:
-        for i in coords:
-            z[i] = xs[i] + gamma * s[i]
-            if not isfinite(z[i]):
-                raise ValueError(_NON_FINITE_Z)
-        ak = formula(gamma, *z)
-        ak = (ak,) if type(ak) is float else ak
-        s = z[:]
-        for i in coords:
-            s[i] = (s[i] - ak[i]) / gamma
-        a_coords.extend(ak)
-        a_star_coords.extend(s)
-        # == finds the candidates; reprs, exact for floats, tell -0.0 from 0.0
-        if constant and (s == last or s == before):
-            period = 1 if repr(s) == repr(last) else 2 if repr(s) == repr(before) else 0
-            if period:
+    if len(xs) == 1:
+        a_coords, a_star_coords, period = _scalar_steps(formula, *xs, *s, gammas, constant)
+    else:
+        z, coords = list(xs), range(len(xs))
+        a_coords, a_star_coords = [], []  # coordinates of a_1, a_2, ... and of a_1*, a_2*, ...
+        last, before, period = s, None, 0
+        for gamma in gammas:
+            for i in coords:
+                z[i] = xs[i] + gamma * s[i]
+                if not isfinite(z[i]):
+                    raise ValueError(_NON_FINITE_Z)
+            ak = formula(gamma, *z)
+            s = z[:]
+            for i in coords:
+                s[i] = (s[i] - ak[i]) / gamma
+            a_coords.extend(ak)
+            a_star_coords.extend(s)
+            if constant and (s == last or s == before) and (period := _period(s, last, before)):
                 break
-        last, before = s, last
+            last, before = s, last
     a.ravel()[:len(a_coords)] = a_coords
     a_star.ravel()[:len(a_coords)] = a_star_coords
     return len(a_coords) // len(xs), period
+
+
+def _scalar_steps(formula, x, s, gammas, constant):
+    """The loop of :func:`_float_steps` on one coordinate: the a_k, the a_k* and the period."""
+    a_coords, a_star_coords = [], []
+    last, before, period = s, None, 0
+    for gamma in gammas:
+        z = x + gamma * s
+        if not isfinite(z):
+            raise ValueError(_NON_FINITE_Z)
+        ak = formula(gamma, z)
+        if type(ak) is not float:
+            ak, = ak
+        s = (z - ak) / gamma
+        a_coords.append(ak)
+        a_star_coords.append(s)
+        if constant and (s == last or s == before) and (period := _period(s, last, before)):
+            break
+        last, before = s, last
+    return a_coords, a_star_coords, period
+
+
+def _period(s, last, before):
+    """1 or 2 where ``s`` repeats ``last`` or ``before`` bit for bit, else 0;
+    reprs, exact for floats, tell -0.0 from 0.0, which == does not."""
+    return 1 if repr(s) == repr(last) else 2 if repr(s) == repr(before) else 0
 
 
 def series_bound(A, x, x_star, schedule, n_terms):

@@ -79,7 +79,7 @@ def test_wrapped_entries_compute_the_same_bits(spec, rng):
     assert wanted <= called
 
 
-@pytest.mark.parametrize("spec", ["burg", "shannon", "rotator"])
+@pytest.mark.parametrize("spec", ["burg", "shannon", "rotator", "energy:dim=1", "energy:dim=3"])
 def test_wrapped_series_steps_through_the_formula(spec, rng):
     # a wrapped resolvent kernel keeps its formula, which the series calls on
     # Python floats in place of the kernel, as for the bare entry

@@ -15,6 +15,7 @@ floats against its loop on arrays.
 
 import dataclasses
 import functools
+import struct
 
 import numpy as np
 import pytest
@@ -423,26 +424,68 @@ def _same_on_both_loops(loops, x, x_star, schedule, n):
 
 
 def test_float_loop_entries():
-    # Burg, Shannon and the rotator, and their closed-form inverses
+    # Burg, Shannon, energy and the rotator, and their closed-form inverses
     assert FLOAT_LOOP == [
-        "burg", "burg/closed-inverse", "rotator", "rotator/closed-inverse",
-        "shannon", "shannon/closed-inverse",
+        "burg", "burg/closed-inverse", "energy:dim=3", "energy:dim=3/closed-inverse",
+        "rotator", "rotator/closed-inverse", "shannon", "shannon/closed-inverse",
     ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", range(1, cyclic._FLOAT_DIM + 1))
+def test_energy_formula_is_its_kernel_on_floats(dim, rng):
+    # the same IEEE division as numpy's z / (1 + gamma), bit for bit; packed
+    # bytes tell -0.0 from 0.0
+    kernel = catalog.make_energy(dim).prox_kernel
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+    specials += [1.7976931348623157e308, -1.7976931348623157e308]
+    rows = _points(rng, dim)
+    mask = rng.random(rows.shape) < 0.5
+    rows[mask] = rng.choice(specials, size=int(mask.sum()))
+    gammas = np.concatenate([[1e-300, 1.0, 1e300], 10.0 ** rng.uniform(-300.0, 300.0, len(rows) - 3)])
+    pack = struct.Struct(f"{dim}d").pack
+    for gamma, z in zip(gammas.tolist(), rows.tolist()):
+        assert pack(*kernel.formula(gamma, *z)) == pack(*kernel(gamma, np.array(z)).tolist())
 
 
 def test_series_loop_is_chosen_by_dim(monkeypatch):
     # up to cyclic._FLOAT_DIM coordinates the series steps on Python floats,
-    # past it on arrays
+    # one coordinate on float locals, past it on arrays
     taken = []
-    for name in ("_float_steps", "_array_steps"):
+    for name in ("_float_steps", "_scalar_steps", "_array_steps"):
         steps = getattr(cyclic, name)
         monkeypatch.setattr(
             cyclic, name, lambda *args, name=name, steps=steps: taken.append(name) or steps(*args)
         )
-    for dim in (1, cyclic._FLOAT_DIM, cyclic._FLOAT_DIM + 1, 64):
+    for dim in (1, 2, cyclic._FLOAT_DIM, cyclic._FLOAT_DIM + 1, 64):
         op = subdifferential_operator(catalog.make_energy(dim))
         generate_cyclic_sequence(op, np.ones(dim), np.zeros(dim), GammaSchedule.const(1.0), 3)
-    assert taken == ["_float_steps", "_float_steps", "_array_steps", "_array_steps"]
+    assert taken == ["_float_steps", "_scalar_steps"] + ["_float_steps"] * 2 + ["_array_steps"] * 2
+    # the scalar path gives the array loop's steps, period and row bytes at
+    # Burg's 2-cycles, and from x* = -0.0, whose first step returns a* = 0.0:
+    # equal, not the same bits, so the loop stops at the second step
+    loops = _loops(LOW_DIM["burg"])
+    for x, x_star, gamma in TWO_CYCLES["burg"]:
+        taken.clear()
+        _same_on_both_loops(loops, [x], [x_star], GammaSchedule.const(gamma), 50)
+        assert taken == ["_float_steps", "_scalar_steps", "_array_steps"]
+    taken.clear()
+    energy = _loops(LOW_DIM["energy:dim=1"])
+    a_star, steps = _same_on_both_loops(energy, [0.0], [-0.0], GammaSchedule.const(1.0), 5)
+    assert steps == 2 and a_star.tobytes() == np.zeros((2, 1)).tobytes()
+    assert taken == ["_float_steps", "_scalar_steps", "_array_steps"]
+    # and the array loop's error where z is first non-finite, at the third step
+    # here: a_2* is about -3.5 and gamma_3 = 1e308
+    gammas, calls = [1.0, 1.0, 1e308, 1.0], loops[2]
+    calls.clear()
+    taken.clear()
+    for loop, kernel in ((cyclic._float_steps, loops[0]), (cyclic._array_steps, loops[1])):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError) as error:
+                loop(kernel, np.array([1.0]), np.array([-5.0]), gammas, False, *np.empty((2, 4, 1)))
+        assert str(error.value) == cyclic._NON_FINITE_Z
+    assert calls == [1.0, 1.0] + gammas  # the float loop stops before its third call
+    assert taken == ["_float_steps", "_scalar_steps", "_array_steps"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -27,7 +27,7 @@ gamma, or an ``(m, dim)`` stack with an ``(m, 1)`` column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -259,11 +259,22 @@ def chain_links(gap, fitz, carlier, slack):
 
 
 def chain_violation(report):
-    """Describe a violation of :func:`chain_links` at slack ``MEMBERSHIP_TOL``, or None."""
+    """Describe a violation of :func:`chain_links` at slack ``MEMBERSHIP_TOL``, or None;
+    a stack's report gives ``row i: `` and the message of its first failing row i."""
     gap, fitz, carlier = report.gap, report.fitzpatrick, report.carlier
+    fitz_ok, capped, nonnegative = chain_links(gap, fitz, carlier, MEMBERSHIP_TOL)
+    if capped is True and nonnegative is True and fitz_ok is True:  # never a stack's masks
+        return None
+    if isinstance(carlier, np.ndarray):  # the row-wise links pick row i, then read as one point
+        held = capped & nonnegative & fitz_ok
+        if held.all():
+            return None
+        i = int(held.argmin())
+        fitz = fitz if fitz is None else fitz[i].item()
+        row = replace(report, gap=gap[i].item(), fitzpatrick=fitz, carlier=carlier[i].item())
+        return f"row {i}: {chain_violation(row)}"
     if carlier != carlier:
         return f"carlier {carlier!r} is not a number"
-    fitz_ok, capped, nonnegative = chain_links(gap, fitz, carlier, MEMBERSHIP_TOL)
     if not fitz_ok:
         return f"fitzpatrick {fitz!r} exceeds gap {gap!r}"
     if not capped:

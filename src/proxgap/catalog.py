@@ -28,16 +28,17 @@ exception is the rescaled point of the flipped kernels (:func:`_flipped`).
 Burg's and Shannon's proxes, conjugate proxes and gaps and the rotator's
 resolvent (:func:`_pointwise`) are one formula on Python floats each, which
 every point goes through, alone or in a stack, and which raises no warning.
-Facts about a kernel are its attributes, which a ``functools.wraps`` wrapper
-copies: ``formula`` on those kernels and on energy's prox kernel, whose float
-formula is the same single division as the kernel, and ``equals_gap`` on a
-Fitzpatrick gap that is the entry's gap kernel (the subspace's).
-The public maps ``value``, ``conjugate``, ``prox``, ``conjugate_prox``
-and ``resolvent`` are the kernels behind one ``as_vector`` call, and the
-last three reject a gamma that is not positive and finite before it (see
-:func:`_evaluated` and :func:`_validated`); code that holds checked arrays,
-such as the Minty points of :func:`proxgap.bounds._minty` and of the
-cyclic series, calls the kernels directly.
+The subspace's gap kernel decides its rows on Python floats after one
+projection and one ``row_norm`` of its stack.  Facts about a kernel are its
+attributes, which a ``functools.wraps`` wrapper copies: ``formula`` on those
+kernels and on energy's prox kernel, whose float formula is the same single
+division as the kernel, and ``equals_gap`` on a Fitzpatrick gap that is the
+entry's gap kernel (the subspace's).  The public maps ``value``, ``conjugate``,
+``prox``, ``conjugate_prox`` and ``resolvent`` are the kernels behind one
+``as_vector`` call, and the last three reject a gamma that is not positive and
+finite before it (see :func:`_evaluated` and :func:`_validated`); code that
+holds checked arrays, such as the Minty points of :func:`proxgap.bounds._minty`
+and of the cyclic series, calls the kernels directly.
 
 Each formula is written once: Burg's conjugate and conjugate prox are
 derived exactly from its value and prox, and the rotator's inverse
@@ -55,6 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import INF, as_gamma, as_vector, check_finite, parse_vector, row_norm, within_membership
+from .core import within_tolerance
 from .lambertw import lambert_w_exp
 
 # exp(t) crosses the 1e300 finite-range ceiling near t = 690.78
@@ -127,17 +129,21 @@ def _pointwise(formula):
     return kernel
 
 
+def _gap_rows(gaps, x):
+    """A gap kernel's result from the Python float gaps of the rows of ``x``."""
+    if x.ndim == 1:
+        return np.float64(gaps[0])
+    # a reshape costs as much again as the array: skip it where it changes nothing
+    return np.array(gaps) if x.ndim == 2 else np.array(gaps).reshape(x.shape[:-1])
+
+
 def _elementwise_gap(scalar_gap):
     """The gap kernel of ``scalar_gap(s, t)``: one call per row pair on
     Python floats, so an overflow is +inf with no warning."""
 
     def kernel(x, x_star):
         pairs = zip(x.ravel().tolist(), x_star.ravel().tolist(), strict=True)
-        gaps = [scalar_gap(s, t) for s, t in pairs]
-        if x.ndim == 1:
-            return np.float64(gaps[0])
-        # a reshape costs as much again as the array: skip it where it changes nothing
-        return np.array(gaps) if x.ndim == 2 else np.array(gaps).reshape(x.shape[:-1])
+        return _gap_rows([scalar_gap(s, t) for s, t in pairs], x)
 
     return kernel
 
@@ -420,22 +426,19 @@ def make_subspace_indicator(basis):
     with dom N_U = U and ran N_U = U^perp.
     """
     Q = orthonormal_basis(basis)
-    dim = Q.shape[1]
+    dim, QT = Q.shape[1], Q.T
 
     def project(z):
         # rows of z are points, so one call projects a whole stack; np.dot makes
         # the BLAS calls of @ with less overhead per call
-        return np.dot(np.dot(z, Q.T), Q)
+        return np.dot(np.dot(z, QT), Q)
 
-    def within_tol(d, z):
-        # ||d|| <= MEMBERSHIP_TOL*(1 + ||z||) row by row
-        return within_membership(row_norm(d), z)
-
+    # ||z - P z|| and ||P z|| <= MEMBERSHIP_TOL*(1 + ||z||) row by row
     def in_U(z):
-        return within_tol(z - project(z), z)
+        return within_membership(row_norm(z - project(z)), z)
 
     def in_Uperp(z):
-        return within_tol(project(z), z)
+        return within_membership(row_norm(project(z)), z)
 
     def value_kernel(x):
         return np.where(in_U(x), 0.0, INF)[()]
@@ -449,14 +452,15 @@ def make_subspace_indicator(basis):
     def conjugate_prox_kernel(sigma, w):
         return w - project(w)
 
-    # in_U(x) & in_Uperp(x_star) on one stack: rows x - P x and P x*, each
-    # measured against its own point's norm
+    # in_U(x) & in_Uperp(x_star): one stack of rows x - P x, P x*, x, x*, decided on floats
     def fitz_gap(x, x_star):
-        z = np.array((x, x_star))
-        resid = project(z.reshape(-1, dim)).reshape(z.shape)
-        np.subtract(z[0], resid[0], out=resid[0])
-        member = within_membership(row_norm(resid), z)
-        return np.where(member[0] & member[1], 0.0, INF)[()]
+        z = np.array((x, x_star, x, x_star)).reshape(4, -1, dim)
+        proj = project(z[:2].reshape(-1, dim)).reshape(2, -1, dim)
+        z[0] -= proj[0]
+        z[1] = proj[1]
+        rows = zip(*row_norm(z).tolist())
+        member = [within_tolerance(r, (n,)) and within_tolerance(s, (t,)) for r, s, n, t in rows]
+        return _gap_rows([0.0 if m else INF for m in member], x)
 
     fitz_gap.equals_gap = True
 

@@ -602,6 +602,21 @@ def test_chain_violation_infinite_carlier_needs_infinite_bounds(energy2, gap, fi
     assert chain_violation(nan) == "carlier nan is not a number"
 
 
+def test_stacked_chain_violation_names_its_first_failing_row(energy2):
+    # row i of a stack reads "row i: " and the one-point message of that row
+    x, x_star = np.ones((3, 2)), np.zeros((3, 2))
+    rep = bound_report(energy2, 1.0, x, x_star)
+    assert chain_violation(rep) is None
+    one = bound_report(energy2, 1.0, x[1], x_star[1])
+    assert (rep.gap[1], rep.fitzpatrick[1], rep.carlier[1]) == (one.gap, one.fitzpatrick, one.carlier)
+    for field, value in (("carlier", one.gap + 1.0), ("carlier", math.nan), ("fitzpatrick", 2.0)):
+        rows = getattr(rep, field).copy()
+        rows[1:] = value
+        got = chain_violation(dataclasses.replace(rep, **{field: rows}))
+        want = chain_violation(dataclasses.replace(one, **{field: value}))
+        assert want is not None and got == f"row 1: {want}"
+
+
 # ------------------------------------------------------------------- csv
 
 

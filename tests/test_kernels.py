@@ -76,8 +76,13 @@ def _edge_rows(f):
         return np.array(edges)[:, None]
     if f.name != "subspace":
         return np.empty((0, f.dim))
-    u_dir = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    perp_dir = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    return _subspace_edges(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, -1.0]))
+
+
+def _subspace_edges(u_dir, perp_dir):
+    """Points along u_dir (in U) and perp_dir (in U-perp), each moved toward
+    the other direction by half and twice the membership tolerance."""
+    u_dir, perp_dir = u_dir / np.linalg.norm(u_dir), perp_dir / np.linalg.norm(perp_dir)
     rows = []
     for size in (1e-3, 1.0, 1e6):
         for base, off in ((u_dir, perp_dir), (perp_dir, u_dir)):
@@ -200,15 +205,34 @@ def test_entropy_gap_kernels_pair_rows_strictly(name, rng):
 
 
 def test_subspace_gap_is_the_sum_of_its_indicators(rng):
-    # x in U and x* in U-perp, each within the tolerance of its own norm
-    f = FUNCTIONS["subspace"]()
-    edges = _edge_rows(f)
-    x = np.repeat(edges, len(edges), axis=0)
-    x_star = np.tile(edges, (len(edges), 1))
-    want = f.value_kernel(x) + f.conjugate_kernel(x_star)
-    assert (want == 0.0).any() and (want == np.inf).any()
-    assert f.gap_kernel(x, x_star).tobytes() == want.tobytes()
-    assert [f.gap_kernel(u, v) for u, v in zip(x, x_star)] == want.tolist()
+    # x in U and x* in U-perp, each within the tolerance of its own norm, for
+    # a plane and a line of R^3; rows of norm 1e200 square past the float
+    # range, so they are members only where the residual is exactly 0
+    huge = 1e200 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0], [3.0, 0.0, -1.0]])
+    plane, line = (catalog.make_subspace_indicator(basis) for basis in BASES[:2])
+    line_edges = _subspace_edges(np.array([1.0, 2.0, 3.0]), np.array([3.0, 0.0, -1.0]))
+    with np.errstate(over="ignore"):  # row_norm warns where the 1e200 rows square past the range
+        for f, edges in ((plane, _edge_rows(plane)), (line, line_edges)):
+            edges = np.vstack([edges, huge])
+            x = np.repeat(edges, len(edges), axis=0)
+            x_star = np.tile(edges, (len(edges), 1))
+            want = f.value_kernel(x) + f.conjugate_kernel(x_star)
+            assert (want == 0.0).any() and (want == np.inf).any()
+            assert f.gap_kernel(x, x_star).tobytes() == want.tobytes()
+            one = [f.gap_kernel(u, v) for u, v in zip(x, x_star)]
+            assert {type(g) for g in one} == {np.float64}
+            assert one == want.tolist()
+            # the (3, m, dim) stacks of a stacked bound_report, row by row
+            x3, x_star3 = np.array((x, x[::-1], x)), np.array((x_star, x_star, x_star[::-1]))
+            got = f.gap_kernel(x3, x_star3)
+            want = f.value_kernel(x3.reshape(-1, 3)) + f.conjugate_kernel(x_star3.reshape(-1, 3))
+            assert got.shape == (3, len(x))
+            assert got.tobytes() == want.tobytes()
+        # in the plane, P x = x exactly for x = 1e200 e1, a member; P x rounds
+        # for x = 1e200 (1, 1, 1) of U, which is not
+        x_star = np.array([0.0, 1.0, -1.0])
+        assert plane.gap_kernel(huge[0], x_star) == 0.0
+        assert plane.gap_kernel(huge[2], x_star) == np.inf
 
 
 BASES = [

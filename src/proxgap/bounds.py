@@ -17,8 +17,9 @@ first three rows against the last three, ``row_norm`` takes all six, and
 ``carlier_bound``, ``minty_decompose``, ``dual_carlier_check`` and
 ``bound_report`` take one point, or ``(m, dim)`` stacks of x and x* with a
 float or ``(m,)`` gamma and then return ``(m,)`` arrays in place of floats
-and bools.  Each public function validates its inputs once and hands the
-validated arrays to the private helpers below, which trust them.  ``_minty``,
+and bools, as ``pair_inequality_check`` does for stacks of its four points.
+Each public function validates its inputs once and hands the validated
+arrays to the private helpers below, which trust them.  ``_minty``,
 the one place that forms a Minty point z = x + gamma x* and checks it
 finite, gives z and J(z) from the public map for one point or the kernel for
 a stack.  ``_minty`` and ``_carlier`` are row-wise: one point with a float
@@ -32,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, check_finite, inner, row_norm
+from .core import INF, MEMBERSHIP_TOL, as_gamma, as_vector, check_finite, row_norm
 from .core import within_tolerance
 
 
@@ -164,15 +165,16 @@ def pair_inequality_check(f, x, x_star, y, y_star):
     """Both sides of G_f(x, x*) + G_f(y, y*) >= <y - x, x* - y*>.
 
     Equality holds exactly when y* is in df(x) and x* is in df(y).
-    Returns (lhs, rhs).
+    Returns (lhs, rhs), as floats or, for ``(m, dim)`` stacks, ``(m,)`` arrays.
     """
-    x = as_vector(x, f.dim, "x")
-    x_star = as_vector(x_star, f.dim, "x_star")
-    y = as_vector(y, f.dim, "y")
-    y_star = as_vector(y_star, f.dim, "y_star")
-    lhs = float(f.gap_kernel(x, x_star) + f.gap_kernel(y, y_star))
-    rhs = inner(y - x, x_star - y_star)
-    return lhs, rhs
+    shape = (len(x), f.dim) if np.ndim(x) == 2 else None
+    x, x_star, y, y_star = (
+        as_vector(p, f.dim, n) if shape is None else _rows(p, shape, n)
+        for p, n in zip((x, x_star, y, y_star), ("x", "x_star", "y", "y_star"))
+    )
+    lhs = f.gap_kernel(x, x_star) + f.gap_kernel(y, y_star)
+    rhs = np.vecdot(y - x, x_star - y_star)
+    return (float(lhs), float(rhs)) if shape is None else (lhs, rhs)
 
 
 def bregman_distance(f, x, y):

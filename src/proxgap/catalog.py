@@ -32,13 +32,16 @@ The subspace's gap kernel decides its rows on Python floats after one
 projection and one ``row_norm`` of its stack.  Facts about a kernel are its
 attributes, which a ``functools.wraps`` wrapper copies: ``formula`` on those
 kernels and on energy's prox kernel, whose float formula is the same single
-division as the kernel, and ``equals_gap`` on a Fitzpatrick gap that is the
-entry's gap kernel (the subspace's).  The public maps ``value``, ``conjugate``,
-``prox``, ``conjugate_prox`` and ``resolvent`` are the kernels behind one
-``as_vector`` call, and the last three reject a gamma that is not positive and
-finite before it (see :func:`_evaluated` and :func:`_validated`); code that
-holds checked arrays, such as the Minty points of :func:`proxgap.bounds._minty`
-and of the cyclic series, calls the kernels directly.
+division as the kernel, ``equals_gap`` on a Fitzpatrick gap that is the
+entry's gap kernel (the subspace's), and ``domain_points`` on a function's
+value and conjugate kernels: it maps raw rows u with |u| <= 100 (one point or a
+stack) row by row into dom df, or ran df = dom df*, where that kernel is finite
+(a conjugate swaps both).  The public maps ``value``, ``conjugate``, ``prox``,
+``conjugate_prox`` and ``resolvent`` are the kernels behind one ``as_vector``
+call, and the last three reject a gamma that is not positive and finite before
+it (see :func:`_evaluated` and :func:`_validated`); code that holds checked
+arrays, such as the Minty points of :func:`proxgap.bounds._minty` and of the
+cyclic series, calls the kernels directly.
 
 Each formula is written once: Burg's conjugate and conjugate prox are
 derived exactly from its value and prox, and the rotator's inverse
@@ -85,6 +88,10 @@ class SetSpec:
 _ALL = SetSpec(contains=lambda x: True, closure_contains=lambda x: True)
 _POSITIVE = SetSpec(contains=lambda x: x[0] > 0.0, closure_contains=lambda x: x[0] >= 0.0)
 _NEGATIVE = SetSpec(contains=lambda x: x[0] < 0.0, closure_contains=lambda x: x[0] <= 0.0)
+
+
+def _positive_points(u):  # a ``domain_points`` map into (0, inf)
+    return np.abs(u) + 0.1
 
 
 def _evaluated(kernel, dim, name):
@@ -367,6 +374,7 @@ def make_energy(dim):
         return [c / d for c in z]
 
     prox_kernel.formula = formula
+    value_kernel.domain_points = np.positive  # the identity, also the conjugate kernel's
 
     def fitz_gap(x, x_star):
         d = x - x_star
@@ -463,6 +471,8 @@ def make_subspace_indicator(basis):
         return _gap_rows([0.0 if m else INF for m in member], x)
 
     fitz_gap.equals_gap = True
+    value_kernel.domain_points = project
+    conjugate_kernel.domain_points = lambda u: conjugate_prox_kernel(1.0, u)
 
     member_U = SetSpec(contains=in_U, closure_contains=in_U)
     member_Uperp = SetSpec(contains=in_Uperp, closure_contains=in_Uperp)
@@ -549,6 +559,9 @@ def make_burg():
     def conjugate_kernel(x_star):
         return value_kernel(-x_star) - 1.0
 
+    # -e^u on math.exp, element by element, which np.exp can miss by one ulp
+    value_kernel.domain_points = _positive_points
+    conjugate_kernel.domain_points = lambda u: -np.vectorize(math.exp, otypes=[float])(u)
     return ConvexFunction(
         name="burg",
         dim=1,
@@ -617,6 +630,8 @@ def make_shannon():
             return s * d * d * (0.5 + d * (1 / 6 + d * (1 / 24 + d * (1 / 120 + d / 720))))
         return s * (math.expm1(d) - d)
 
+    value_kernel.domain_points = _positive_points
+    conjugate_kernel.domain_points = np.positive  # the identity
     return ConvexFunction(
         name="shannon",
         dim=1,

@@ -9,18 +9,18 @@ suite passes at 0.0: its random pairs meet the inequality outright, and
 its energy cross-graph pairs compute both sides as the same bits.
 
 The suites evaluate stacks.  Each catalog entry draws all of its inputs
-as one block, in the order a loop over single points would draw them,
-repeats each point once per gamma of ``GAMMA_SET``, and passes the stacks
-to the public ``bounds`` functions, the catalog kernels and, for the
-oracle's conjugate queries, one shared grid.  Every check of the per-point
-loops is kept, so the counts and the failure messages are theirs; a message
-is formatted only for a failure that gets reported, from the one-point call
-where there is one.
+as one block, in the order a loop over single points would draw them, maps
+rows into dom df or ran df by its kernels' ``domain_points`` (no suite knows
+a function's sets by its name), repeats each point once per gamma of
+``GAMMA_SET``, and passes the stacks to the public ``bounds`` functions, the
+catalog kernels and, for the oracle's conjugate queries, one shared grid.
+Every check of the per-point loops is kept, so the counts and the failure
+messages are theirs; a message is formatted only for a failure that gets
+reported, from the one-point call where there is one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,15 +96,6 @@ def operator_entries():
     return [subdifferential_operator(f) for f in function_entries()] + [make_rotator()]
 
 
-def _domain_points(f, draws):
-    """Points of dom f from standard normal draws, row by row."""
-    if f.name == "energy":
-        return draws
-    if f.name == "subspace":
-        return f.prox_kernel(1.0, draws)
-    return np.abs(draws) + 0.1
-
-
 def _over_gammas(*points):
     """The ``(m,)`` gammas and each point stack repeated to match: every
     point once per gamma of ``GAMMA_SET``, point-major."""
@@ -122,7 +113,7 @@ def run_chain_suite(rng, slack=None):
     for f in function_entries():
         # normal draws are finite, and so are the points made from them
         draws = rng.normal(size=(50, 2, f.dim))
-        gamma, x, x_star = _over_gammas(_domain_points(f, draws[:, 0]), draws[:, 1])
+        gamma, x, x_star = _over_gammas(f.value_kernel.domain_points(draws[:, 0]), draws[:, 1])
         rep = bound_report(f, gamma, x, x_star)
         fitz_ok, capped, nonnegative = chain_links(rep.gap, rep.fitzpatrick, rep.carlier, s)
         ok = fitz_ok & capped & nonnegative
@@ -205,10 +196,9 @@ def run_pair_suite(rng, slack=None):
     s = _pick(slack, 1e-9)
     for f in [make_energy(2), make_burg(), make_shannon()]:
         draws = rng.normal(size=(50, 4, f.dim))
-        x, y = _domain_points(f, draws[:, 0]), _domain_points(f, draws[:, 1])
+        x, y = map(f.value_kernel.domain_points, (draws[:, 0], draws[:, 1]))
         x_star, y_star = draws[:, 2], draws[:, 3]
-        lhs = f.gap_kernel(x, x_star) + f.gap_kernel(y, y_star)
-        rhs = np.vecdot(y - x, x_star - y_star)
+        lhs, rhs = pair_inequality_check(f, x, x_star, y, y_star)
         ok = (lhs == INF) | (lhs >= rhs - s * (1.0 + np.abs(rhs)))
 
         def message(r):
@@ -223,8 +213,7 @@ def run_pair_suite(rng, slack=None):
     op = subdifferential_operator(energy)
     draws = rng.normal(size=(20, 2, 2))
     x, y = draws[:, 0], draws[:, 1]
-    lhs = energy.gap_kernel(x, y) + energy.gap_kernel(y, x)
-    rhs = np.vecdot(y - x, y - x)
+    lhs, rhs = pair_inequality_check(energy, x, y, y, x)
     equal = np.abs(lhs - rhs) <= s * (1.0 + np.abs(rhs))
     member = op.graph_kernel(x, x) & op.graph_kernel(y, y)
 
@@ -243,28 +232,21 @@ def run_pair_suite(rng, slack=None):
 
 
 def conjugate_queries(f, rng, count):
-    """Query points where the closed-form conjugate is finite and the
-    maximizer is interior to the oracle box.  For a subspace U this is
-    the U-perp part of u times the last axis or, when that axis lies in U,
-    the axis with the largest U-perp part."""
-    out = []
-    if f.name == "subspace":
+    """``(count, dim)`` points where f* is finite and its maximizer interior to the oracle
+    box: ``f.conjugate_kernel.domain_points`` of draws on (-3, 3), or (-2, 1) for Burg.  A
+    subspace U draws u times its last axis or, when that axis lies in U, the axis with the
+    largest U-perp part, so that the U-perp part the map takes is not 0."""
+    if f.name == "burg":
+        draws = rng.uniform(-2.0, 1.0, size=(count, f.dim))
+    elif f.name == "subspace":
         axes = np.eye(f.dim)
-        axis = f.dim - 1
-        if f.subdiff_domain.contains(axes[axis]):
-            axis = int(np.argmax(row_norm(axes - f.prox_kernel(1.0, axes))))
-    for _ in range(count):
-        if f.name == "energy":
-            out.append(rng.uniform(-3.0, 3.0, size=f.dim))
-        elif f.name == "subspace":
-            q = np.zeros(f.dim)
-            q[axis] = rng.uniform(-5.0, 5.0)
-            out.append(q - f.prox_kernel(1.0, q))
-        elif f.name == "burg":
-            out.append(np.array([-math.exp(rng.uniform(-2.0, 1.0))]))
-        else:
-            out.append(np.array([rng.uniform(-3.0, 3.0)]))
-    return out
+        perp = row_norm(f.conjugate_kernel.domain_points(axes))
+        axis = int(np.argmax(perp)) if f.subdiff_domain.contains(axes[-1]) else -1
+        draws = np.zeros((count, f.dim))
+        draws[:, axis] = rng.uniform(-5.0, 5.0, size=count)
+    else:
+        draws = rng.uniform(-3.0, 3.0, size=(count, f.dim))
+    return f.conjugate_kernel.domain_points(draws)
 
 
 def prox_queries(f, rng, count):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from proxgap import catalog, verify
+from proxgap import catalog
 
 # the golden-record helpers assert, so show their comparisons like a test's
 pytest.register_assert_rewrite("golden")
@@ -41,20 +41,15 @@ def rotator():
 
 
 def draw_domain_point(f, rng):
-    """A point of dom f (for subspace: of the subspace itself)."""
-    return verify._domain_points(f, rng.normal(size=f.dim))
+    """A point of dom df (for subspace: of the subspace itself), from a normal draw."""
+    return f.value_kernel.domain_points(rng.normal(size=f.dim))
 
 
 def draw_dual_point(f, rng):
-    """A random point where the conjugate of f is finite."""
-    if f.name == "energy":
-        return rng.normal(size=f.dim)
-    if f.name == "subspace":
-        z = rng.normal(size=f.dim)
-        return z - f.prox(1.0, z)
-    if f.name == "burg":
-        return np.array([-np.exp(rng.uniform(-2.0, 1.0))])
-    return rng.normal(size=1)
+    """A point of ran df, where the conjugate of f is finite, from a normal
+    draw (for burg a uniform one on (-2, 1))."""
+    u = rng.uniform(-2.0, 1.0, size=1) if f.name == "burg" else rng.normal(size=f.dim)
+    return f.conjugate_kernel.domain_points(u)
 
 
 def moreau_fallback(f):

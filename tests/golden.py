@@ -178,8 +178,7 @@ def random_proxes(name):
 def round_zero_stack(f):
     """Six verify conjugate queries and one whose supremum runs off the box."""
     queries = verify.conjugate_queries(f, np.random.default_rng(5), 6)
-    queries.append(np.full(f.dim, 60.0))
-    return np.array(queries)
+    return np.vstack((queries, np.full(f.dim, 60.0)))
 
 
 def round_zero(name):

@@ -72,6 +72,19 @@ def test_wrapped_entries_compute_the_same_bits(spec, rng):
             want = bounds.dual_carlier_check(A, gamma, x, x_star)
             got = bounds.dual_carlier_check(tracer.wrap_entry(A), gamma, x, x_star)
             assert _bits(got) == _bits(want), (A.name, gamma, x, x_star)
+    # a wrapped value or conjugate kernel keeps its map of raw rows into its set
+    u = rng.uniform(-100.0, 100.0, size=(4, entry.dim))
+    for f in functions:
+        wrapped = tracer.wrap_entry(f)
+        sides = (("value_kernel", "subdiff_domain"), ("conjugate_kernel", "subdiff_range"))
+        for name, member in sides:
+            kernel = getattr(wrapped, name)
+            assert kernel is not getattr(f, name)
+            for raw in (u, u[0]):
+                points = kernel.domain_points(raw)
+                assert _bits(points) == _bits(getattr(f, name).domain_points(raw))
+                assert all(getattr(wrapped, member).contains(row) for row in np.atleast_2d(points))
+                assert np.all(np.isfinite(kernel(points)))
     # the public maps were wrapped as fields, and the bounds called them
     called = {tracer.names[span[1]] for span in tracer.spans}
     wanted = {f"catalog.scalar:{f.name}.prox" for f in functions}

@@ -111,8 +111,7 @@ def test_carlier_zero_iff_graph_point(request, rng):
         x = draw_domain_point(f, rng)
         x_star = f.gradient(x) if f.gradient is not None else rng.normal(size=f.dim)
         if f.name == "subspace":
-            z = rng.normal(size=f.dim)
-            x_star = z - f.prox(1.0, z)
+            x_star = f.conjugate_kernel.domain_points(rng.normal(size=f.dim))
         assert carlier_bound(A, 1.0, x, x_star) <= 1e-18
         off = carlier_bound(A, 1.0, x, x_star + 0.5)
         assert off > 1e-6

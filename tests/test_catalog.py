@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from proxgap import bounds, catalog
 from proxgap.core import INF, MEMBERSHIP_TOL
@@ -418,13 +420,37 @@ def test_moreau_decomposition(request, rng):
 def test_fenchel_young_inequality(request, rng):
     from conftest import draw_domain_point, draw_dual_point
 
-    for name in ALL_FUNCTIONS:
-        f = request.getfixturevalue(name)
+    functions = [request.getfixturevalue(name) for name in ALL_FUNCTIONS]
+    for f in functions + [conjugate_function(f) for f in functions]:
         for _ in range(25):
             x = draw_domain_point(f, rng)
             x_star = draw_dual_point(f, rng)
+            assert f.subdiff_domain.contains(x) and f.subdiff_range.contains(x_star), f.name
             residual = f.value(x) + f.conjugate(x_star) - np.dot(x, x_star)
             assert residual >= -1e-12 * (1.0 + abs(residual))
+
+
+# every function entry of the catalog, and its conjugate
+MAPPED = [parse_spec(spec) for spec in ("energy:dim=2", "energy:dim=3", "burg", "shannon")]
+MAPPED += [parse_spec("subspace:dim=3:basis=1,0,0;0,1,1"), parse_spec("subspace:dim=2:basis=1,2")]
+MAPPED += [conjugate_function(f) for f in MAPPED]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_domain_points_map_raw_rows_into_their_sets(data):
+    # every raw row with |u| <= 100, one point or a stack, lands in dom df
+    # (value finite) and in ran df (conjugate finite), row by row
+    f = data.draw(st.sampled_from(MAPPED), label="entry")
+    shape = data.draw(st.sampled_from([(f.dim,), (1, f.dim), (4, f.dim)]), label="shape")
+    u = data.draw(hnp.arrays(float, shape, elements=st.floats(-100.0, 100.0)), label="u")
+    sides = ((f.value_kernel, f.subdiff_domain), (f.conjugate_kernel, f.subdiff_range))
+    for kernel, member in sides:
+        points = kernel.domain_points(u)
+        assert points.shape == u.shape
+        for row in points.reshape(-1, f.dim):
+            assert member.contains(row), (f.name, row)
+        assert np.all(np.isfinite(kernel(points)))
 
 
 # ------------------------------------------------------------ parse_spec

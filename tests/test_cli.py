@@ -677,8 +677,10 @@ def test_planted_faults_reach_every_failure_message(capsys, monkeypatch):
     pair_calls = []
 
     def pair_check(*args):
-        pair_calls.append((args, bounds.pair_inequality_check(*args)))
-        return pair_calls[-1][1]
+        sides = bounds.pair_inequality_check(*args)
+        if np.ndim(args[1]) == 1:  # the one-point calls that format messages, not the stacks
+            pair_calls.append((args, sides))
+        return sides
 
     monkeypatch.setattr(verify, "pair_inequality_check", pair_check)
 

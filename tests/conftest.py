@@ -46,10 +46,8 @@ def draw_domain_point(f, rng):
 
 
 def draw_dual_point(f, rng):
-    """A point of ran df, where the conjugate of f is finite, from a normal
-    draw (for burg a uniform one on (-2, 1))."""
-    u = rng.uniform(-2.0, 1.0, size=1) if f.name == "burg" else rng.normal(size=f.dim)
-    return f.conjugate_kernel.domain_points(u)
+    """A point of ran df, where the conjugate of f is finite, from a normal draw."""
+    return f.conjugate_kernel.domain_points(rng.normal(size=f.dim))
 
 
 def moreau_fallback(f):

@@ -17,7 +17,8 @@ files with
 
     PYTHONPATH=src python tests/golden.py
 
-and list the change in CHANGES.md.  Nothing else writes them.
+which prints, for each file, the name of every case whose record text
+changed, and list those cases in CHANGES.md.  Nothing else writes them.
 """
 
 import json
@@ -199,6 +200,16 @@ CASES = {
 }
 
 
+def rewrite(path, cases):
+    """Write the records of ``cases`` to ``path`` and return the names of the
+    cases whose record text changed, added or dropped ones included."""
+    old = load(path) if path.exists() else {}
+    new = {case: build() for case, build in cases.items()}
+    path.write_text(dumps(new))
+    return [case for case in {**old, **new} if dumps(old.get(case)) != dumps(new.get(case))]
+
+
 if __name__ == "__main__":
     for path, cases in CASES.items():
-        path.write_text(dumps({case: build() for case, build in cases.items()}))
+        for case in rewrite(path, cases):
+            print(f"{path.name}: {case}")

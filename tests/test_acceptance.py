@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from conftest import draw_dual_point
 
 from proxgap import verify
 from proxgap.analysis import (
@@ -55,11 +56,6 @@ def _draw_primal(f, rng, i):
     return np.array([abs(rng.normal()) + 0.05])
 
 
-def _draw_dual(f, rng):
-    scale = 2.0 if f.name == "subspace" else 1.0
-    return f.conjugate_kernel.domain_points(rng.normal(size=f.dim) * scale)
-
-
 def test_criterion_01_chain_inequality():
     rng = np.random.default_rng(42)
     failures = []
@@ -68,7 +64,7 @@ def test_criterion_01_chain_inequality():
         A = subdifferential_operator(f)
         for i in range(500):
             x = _draw_primal(f, rng, i)
-            x_star = _draw_dual(f, rng)
+            x_star = draw_dual_point(f, rng)
             g = gap(f, x, x_star)
             fz = fitzpatrick_bound(f, x, x_star)
             for gamma in GAMMAS:

@@ -402,8 +402,9 @@ def make_energy(dim):
 def orthonormal_basis(vectors):
     """Orthonormalize by modified Gram-Schmidt with one re-orthogonalization.
 
-    Raises ValueError when the input is rank-deficient.  Returns an array
-    of shape (k, dim) whose rows span the same subspace.
+    Raises ValueError when the input is rank-deficient: when the part of a
+    vector orthogonal to those before it is at most 1e-10 of its norm.
+    Returns an array of shape (k, dim) whose rows span the same subspace.
     """
     rows = [as_vector(v, None, f"basis vector {i + 1}") for i, v in enumerate(vectors)]
     if not rows:
@@ -413,12 +414,14 @@ def orthonormal_basis(vectors):
     for i, v in enumerate(rows):
         if v.size != dim:
             raise ValueError(f"basis vector {i + 1} has dimension {v.size}, expected {dim}")
-        u = v.copy()
+        # v scaled by a power of two, exactly, so that no norm overflows or underflows
+        u = np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
+        scale = float(np.linalg.norm(u))
         for _ in range(2):
             for q in basis:
                 u = u - np.dot(q, u) * q
         nu = float(np.linalg.norm(u))
-        if nu <= 1e-10 * max(1.0, float(np.linalg.norm(v))):
+        if nu <= 1e-10 * scale:
             raise ValueError(f"basis is rank-deficient at vector {i + 1}: {v.tolist()}")
         basis.append(u / nu)
     return np.array(basis)
@@ -738,7 +741,6 @@ _SPECS = {
     "shannon": ({}, lambda pairs, spec: make_shannon()),
     "rotator": ({}, lambda pairs, spec: make_rotator()),
 }
-CATALOG_NAMES = tuple(_SPECS)
 
 
 def parse_spec(spec):

@@ -59,23 +59,6 @@ def pgm_csv_rows(trace):
     return rows(n, trace.bregman_refs, trace.carlier_certs, trace.partial_sums)
 
 
-def report_from_csv_row(row):
-    """The :class:`~proxgap.bounds.BoundReport` that :func:`report_to_csv_row` wrote."""
-    if len(row) != len(BOUND_CSV_HEADER):
-        raise ValueError(f"expected {len(BOUND_CSV_HEADER)} fields, got {len(row)}")
-    x, x_star, gamma, gap, fitzpatrick, carlier, gap_zero, gap_equals_carlier = row
-    return BoundReport(
-        x=np.array([float(c) for c in x.split(";")]),
-        x_star=np.array([float(c) for c in x_star.split(";")]),
-        gamma=float(gamma),
-        gap=float(gap),
-        fitzpatrick=None if fitzpatrick == "" else float(fitzpatrick),
-        carlier=float(carlier),
-        gap_zero=gap_zero == "true",
-        gap_equals_carlier=gap_equals_carlier == "true",
-    )
-
-
 def report_json(report):
     """The ``eval --format json`` payload: every report field, vectors as lists."""
     payload = {name: getattr(report, name) for name in BOUND_CSV_HEADER}

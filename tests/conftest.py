@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxgap import catalog
+from proxgap.bounds import minty_decompose
 
 # the golden-record helpers assert, so show their comparisons like a test's
 pytest.register_assert_rewrite("golden")
@@ -40,6 +41,16 @@ def rotator():
     return catalog.make_rotator()
 
 
+def bits(value):
+    """A result as comparable bits: each leaf's type and bytes, records field
+    by field and tuples item by item."""
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return type(value), np.asarray(value).tobytes()
+
+
 def draw_domain_point(f, rng):
     """A point of dom df (for subspace: of the subspace itself), from a normal draw."""
     return f.value_kernel.domain_points(rng.normal(size=f.dim))
@@ -48,6 +59,14 @@ def draw_domain_point(f, rng):
 def draw_dual_point(f, rng):
     """A point of ran df, where the conjugate of f is finite, from a normal draw."""
     return f.conjugate_kernel.domain_points(rng.normal(size=f.dim))
+
+
+def graph_point(A, rng):
+    """A point (a, a*) of the graph of A: the Minty pair of a normal draw (u, v),
+    a = J_A(u + v) and a* = u + v - a."""
+    u, v = rng.normal(size=(2, A.dim))
+    pair = minty_decompose(A, 1.0, u, v)
+    return pair.a, pair.a_star
 
 
 def moreau_fallback(f):

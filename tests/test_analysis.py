@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import bits
 
 from proxgap import analysis, serialize
 from proxgap.analysis import (
@@ -178,13 +179,6 @@ CHAIN_SPECS = (
 )
 
 
-def _bits(value):
-    """A result as comparable bits: each leaf's type and bytes, records field by field."""
-    if dataclasses.is_dataclass(value):
-        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
-    return type(value), np.asarray(value).tobytes()
-
-
 def _swept_classification(A, x, x_star):
     """The gamma -> 0 classification as the 57-point sweep over 1e-12..1e2 defines it."""
     sweep = gamma_sweep(A, x, x_star, lo=1e-12, hi=1e2, count=57)
@@ -214,9 +208,9 @@ def test_classifiers_match_the_swept_definition(spec, rng):
             points.append((x, x_star))
         for x, x_star in points:
             want = _swept_classification(A, x, x_star)
-            assert _bits(classify_limit_zero(A, x, x_star)) == _bits(want), (A.name, x, x_star)
+            assert bits(classify_limit_zero(A, x, x_star)) == bits(want), (A.name, x, x_star)
             want = _swept_classification(A.inverse(), x_star, x)
-            assert _bits(classify_limit_infinity(A, x, x_star)) == _bits(want), (A.name, x, x_star)
+            assert bits(classify_limit_infinity(A, x, x_star)) == bits(want), (A.name, x, x_star)
 
 
 def test_classifiers_read_no_gamma_far_from_their_limit():

@@ -10,12 +10,12 @@ the same bits, and a wrapped kernel keeps the facts the bounds and the
 cyclic series read from it, so that a traced run takes the untraced route.
 """
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bits
 
 from proxgap import bounds, catalog, core, cyclic, oracle, verify
 
@@ -43,15 +43,6 @@ def test_tracer_installs_and_uninstalls():
     assert vars(catalog.Operator)["inverse"] is inverse
 
 
-def _bits(value):
-    """A result as comparable bits: each leaf's type and bytes, records field by field."""
-    if dataclasses.is_dataclass(value):
-        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, tuple):
-        return tuple(_bits(v) for v in value)
-    return type(value), np.asarray(value).tobytes()
-
-
 @pytest.mark.parametrize(
     "spec", ["energy:dim=2", "subspace:dim=3:basis=1,0,0;0,1,1", "burg", "shannon", "rotator"]
 )
@@ -67,11 +58,11 @@ def test_wrapped_entries_compute_the_same_bits(spec, rng):
         x_star = rng.normal(size=entry.dim) * 10.0 ** rng.uniform(-2.0, 2.0)
         for f in functions:
             want = bounds.bound_report(f, gamma, x, x_star)
-            assert _bits(bounds.bound_report(tracer.wrap_entry(f), gamma, x, x_star)) == _bits(want)
+            assert bits(bounds.bound_report(tracer.wrap_entry(f), gamma, x, x_star)) == bits(want)
         for A in operators:
             want = bounds.dual_carlier_check(A, gamma, x, x_star)
             got = bounds.dual_carlier_check(tracer.wrap_entry(A), gamma, x, x_star)
-            assert _bits(got) == _bits(want), (A.name, gamma, x, x_star)
+            assert bits(got) == bits(want), (A.name, gamma, x, x_star)
     # a wrapped value or conjugate kernel keeps its map of raw rows into its set
     u = rng.uniform(-100.0, 100.0, size=(4, entry.dim))
     for f in functions:
@@ -82,7 +73,7 @@ def test_wrapped_entries_compute_the_same_bits(spec, rng):
             assert kernel is not getattr(f, name)
             for raw in (u, u[0]):
                 points = kernel.domain_points(raw)
-                assert _bits(points) == _bits(getattr(f, name).domain_points(raw))
+                assert bits(points) == bits(getattr(f, name).domain_points(raw))
                 assert all(getattr(wrapped, member).contains(row) for row in np.atleast_2d(points))
                 assert np.all(np.isfinite(kernel(points)))
     # the public maps were wrapped as fields, and the bounds called them
@@ -107,7 +98,7 @@ def test_wrapped_series_steps_through_the_formula(spec, rng):
             schedule = cyclic.GammaSchedule.const(10.0 ** rng.uniform(-2.0, 2.0))
             want = cyclic.generate_cyclic_sequence(A, x, x_star, schedule, 200)
             got = cyclic.generate_cyclic_sequence(wrapped, x, x_star, schedule, 200)
-            assert _bits(got) == _bits(want)
+            assert bits(got) == bits(want)
     assert [tracer.names[span[1]] for span in tracer.spans] == []
 
 
@@ -121,7 +112,7 @@ def test_wrapped_subspace_report_reuses_its_gap(rng):
     for x, x_star in ((u, u_perp), (u, u), rng.normal(size=(2, 3))):
         tracer.spans.clear()
         want = bounds.bound_report(f, 0.5, x, x_star)
-        assert _bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == _bits(want)
+        assert bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == bits(want)
         called = [tracer.names[span[1]] for span in tracer.spans]
         assert called == ["catalog.scalar:subspace.prox", "catalog.scalar:subspace.gap_kernel"]
 
@@ -136,6 +127,6 @@ def test_wrapped_conjugate_subspace_report_reuses_its_gap(rng):
     for x, x_star in ((u_perp, u), (u, u), rng.normal(size=(2, 3))):
         tracer.spans.clear()
         want = bounds.bound_report(f, 0.5, x, x_star)
-        assert _bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == _bits(want)
+        assert bits(bounds.bound_report(wrapped, 0.5, x, x_star)) == bits(want)
         called = [tracer.names[span[1]] for span in tracer.spans]
         assert called == [f"catalog.scalar:{f.name}.prox", f"catalog.scalar:{f.name}.gap_kernel"]

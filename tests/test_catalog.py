@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from proxgap import bounds, catalog
 from proxgap.core import INF, MEMBERSHIP_TOL
 from proxgap.catalog import (
-    CATALOG_NAMES,
     conjugate_function,
     orthonormal_basis,
     parse_spec,
@@ -195,8 +194,12 @@ def test_orthonormal_basis_mgs(rng):
 
 
 def test_orthonormal_basis_rank_deficient():
-    with pytest.raises(ValueError, match="rank-deficient at vector 2"):
-        orthonormal_basis([[1.0, 0.0], [2.0, 0.0]])
+    # the message shows the vector as given, also where its norm overflows
+    for vectors in ([[0.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], [[1e300, 1e300], [-1e300, -1e300]]):
+        with pytest.raises(ValueError) as excinfo:
+            orthonormal_basis(vectors)
+        i = len(vectors)
+        assert str(excinfo.value) == f"basis is rank-deficient at vector {i}: {vectors[-1]}"
 
 
 @pytest.mark.parametrize(
@@ -530,10 +533,6 @@ def test_parse_spec_calls_the_factory_of_the_module_at_call_time(monkeypatch):
     monkeypatch.setattr(catalog, "make_burg", lambda: built.append("burg") or "patched")
     assert parse_spec("burg") == "patched"
     assert built == ["burg"]
-
-
-def test_catalog_names():
-    assert CATALOG_NAMES == ("energy", "subspace", "burg", "shannon", "rotator")
 
 
 # ------------------------------------------------------------- inverses

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from proxgap import analysis, bounds, catalog, cyclic, oracle, verify
-from proxgap.serialize import report_from_csv_row
 from proxgap.cli import main
 
 
@@ -28,15 +27,10 @@ def test_eval_csv_stdout(capsys):
     )
     assert code == 0
     assert err == ""
-    lines = out.strip().splitlines()
-    header = lines[0].split(",")
-    row = next(csv.reader([lines[1]]))
-    rep = report_from_csv_row(row)
-    assert len(header) == len(row)
-    assert rep.gap == 1.0
-    assert rep.fitzpatrick == 0.5
-    assert rep.carlier == 0.5
-    assert not rep.gap_zero and not rep.gap_equals_carlier
+    assert out.splitlines() == [
+        "x,x_star,gamma,gap,fitzpatrick,carlier,gap_zero,gap_equals_carlier",
+        "1.0;0.0,0.0;1.0,1.0,1.0,0.5,0.5,false,false",
+    ]
 
 
 def test_eval_json_format(capsys):
@@ -63,7 +57,7 @@ def test_eval_writes_file(capsys, tmp_path):
     assert f"wrote {target}" in out
     rows = list(csv.reader(target.open()))
     assert len(rows) == 2
-    assert report_from_csv_row(rows[1]).gap == 1.0
+    assert rows[1][3] == "1.0"  # the gap
 
 
 def test_eval_csv_round_trips_full_precision(capsys):
@@ -74,9 +68,7 @@ def test_eval_csv_round_trips_full_precision(capsys):
     )
     assert code == 0
     row = next(csv.reader([out.strip().splitlines()[1]]))
-    rep = report_from_csv_row(row)
-    assert rep.x[0] == math.pi
-    assert rep.x[1] == 1.0 / 3.0
+    assert [float(c) for c in row[0].split(";")] == [math.pi, 1.0 / 3.0]
 
 
 def test_eval_env_var_output_dir(capsys, tmp_path, monkeypatch):
@@ -114,14 +106,11 @@ def test_eval_flag_overrides_env(capsys, tmp_path, monkeypatch):
     ],
 )
 def test_eval_overflowed_membership_scale_is_not_membership(capsys, spec, x, xstar):
-    code, out, err = run_cli(
-        capsys, "eval", "--spec", spec, "--x", x, "--xstar", xstar, "--gamma", "1"
-    )
+    code, rep, err = _eval(capsys, spec, x, xstar)
     assert code == 0
     assert err == ""
-    rep = report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
-    assert rep.gap == math.inf
-    assert not rep.gap_zero and not rep.gap_equals_carlier
+    assert rep["gap"] == math.inf
+    assert not rep["gap_zero"] and not rep["gap_equals_carlier"]
 
 
 # s * s overflows in the Burg prox at z = x + gamma x* = 1e300; neither it
@@ -155,11 +144,13 @@ def test_eval_overflow_to_infinity_does_not_warn(capsys, spec, x, xstar, row):
     assert out.splitlines()[1] == row
 
 
-def _eval(capsys, spec, x, xstar):
+def _eval(capsys, spec, x, xstar, gamma="1"):
+    """The exit code, the ``eval --format json`` fields and stderr."""
     code, out, err = run_cli(
-        capsys, "eval", "--spec", spec, "--x", x, "--xstar", xstar, "--gamma", "1"
+        capsys, "eval", "--spec", spec, "--x", x, "--xstar", xstar, "--gamma", gamma,
+        "--format", "json",
     )
-    return code, report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]]))), err
+    return code, json.loads(out), err
 
 
 # an error of exactly 0 is membership at every scale, also where the norm of
@@ -168,8 +159,8 @@ def _eval(capsys, spec, x, xstar):
 def test_eval_exact_member_past_the_norm_overflow(capsys):
     code, rep, err = _eval(capsys, "subspace:dim=2:basis=1,0", "1e200,0", "0,1")
     assert code == 0 and err == ""
-    assert (rep.gap, rep.fitzpatrick, rep.carlier) == (0.0, 0.0, 0.0)
-    assert rep.gap_zero and rep.gap_equals_carlier
+    assert (rep["gap"], rep["fitzpatrick"], rep["carlier"]) == (0.0, 0.0, 0.0)
+    assert rep["gap_zero"] and rep["gap_equals_carlier"]
 
 
 # the sum f(x) + f*(x*) - <x, x*> cancelled at these three points
@@ -177,8 +168,8 @@ def test_eval_exact_member_past_the_norm_overflow(capsys):
 def test_eval_energy_gap_at_1e8_does_not_cancel(capsys):
     code, rep, err = _eval(capsys, "energy:dim=2", "1e8,1e8", "100000000.0001,1e8")
     assert code == 0 and err == ""
-    assert rep.gap == 0.5 * (100000000.0001 - 1e8) ** 2
-    assert rep.gap >= rep.carlier > 0.0
+    assert rep["gap"] == 0.5 * (100000000.0001 - 1e8) ** 2
+    assert rep["gap"] >= rep["carlier"] > 0.0
 
 
 # x lies 0.01 off U, inside the membership tolerance 1e-9 * (1 + 1e8), so the
@@ -189,7 +180,7 @@ def test_eval_energy_gap_at_1e8_does_not_cancel(capsys):
 @pytest.mark.filterwarnings("error")
 def test_eval_subspace_gap_is_zero_near_the_graph(capsys):
     code, rep, err = _eval(capsys, "subspace:dim=2:basis=1,0", "1e8,0.01", "0,1")
-    assert rep.carlier == 1e-4
+    assert rep["carlier"] == 1e-4
     assert code == 0 and err == ""
 
 
@@ -211,19 +202,26 @@ def test_series_subspace_bound_below_the_gap_near_the_graph(capsys):
 # z/gamma overflows: the prox, the root of p + gamma ln p = z, rounds to z = x
 @pytest.mark.filterwarnings("error")
 def test_eval_shannon_where_z_over_gamma_overflows(capsys):
-    code, out, err = run_cli(
-        capsys, "eval", "--spec", "shannon", "--x", "1e300", "--xstar", "1", "--gamma", "1e-10"
-    )
-    rep = report_from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
+    code, rep, err = _eval(capsys, "shannon", "1e300", "1", gamma="1e-10")
     assert code == 0 and err == ""
-    assert math.isfinite(rep.carlier) and 0.0 <= rep.carlier <= rep.gap
+    assert math.isfinite(rep["carlier"]) and 0.0 <= rep["carlier"] <= rep["gap"]
 
 
 @pytest.mark.filterwarnings("error")
 def test_eval_burg_gap_near_the_graph_is_not_negative(capsys):
     code, rep, err = _eval(capsys, "burg", "3", "-0.33333333")
     assert code == 0 and err == ""
-    assert rep.gap >= 0.0 and rep.gap_zero
+    assert rep["gap"] >= 0.0 and rep["gap_zero"]
+
+
+# the norm of (1e300, 1e300) overflows and that of (1e-300, 1e-300) is far
+# below 1; each basis spans the line of (1, 1) all the same
+@pytest.mark.parametrize("basis", ["1e300,1e300", "1e-300,1e-300"])
+def test_eval_subspace_basis_of_huge_or_tiny_vectors(capsys, basis):
+    argv = ("--x", "1,1", "--xstar", "0,0", "--gamma", "1")
+    want = run_cli(capsys, "eval", "--spec", "subspace:dim=2:basis=1,1", *argv)
+    assert want[0] == 0
+    assert run_cli(capsys, "eval", "--spec", f"subspace:dim=2:basis={basis}", *argv) == want
 
 
 @pytest.mark.parametrize(

@@ -61,27 +61,10 @@ def assert_within_ulps(got, want, ulps=ULPS):
     assert not bad.any(), f"{int(bad.sum())} entries differ, first at {np.argwhere(bad)[0]}"
 
 
-def _edge_rows(f):
-    """Rows on both sides of each domain edge of a catalog function.
-
-    The entropies get zeros, tiny and huge magnitudes of both signs and
-    the Shannon conjugate's exp ceiling at 690; the subspace gets points of
-    U and of U-perp moved off them by half and twice the membership
-    tolerance MEMBERSHIP_TOL*(1 + ||z||).
-    """
-    if f.dim == 1:
-        ceil = 690.0
-        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, -745.0]
-        edges += [689.9, ceil, np.nextafter(ceil, np.inf), 700.0]
-        return np.array(edges)[:, None]
-    if f.name != "subspace":
-        return np.empty((0, f.dim))
-    return _subspace_edges(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, -1.0]))
-
-
 def _subspace_edges(u_dir, perp_dir):
     """Points along u_dir (in U) and perp_dir (in U-perp), each moved toward
-    the other direction by half and twice the membership tolerance."""
+    the other direction by half and twice the membership tolerance
+    MEMBERSHIP_TOL*(1 + ||z||)."""
     u_dir, perp_dir = u_dir / np.linalg.norm(u_dir), perp_dir / np.linalg.norm(perp_dir)
     rows = []
     for size in (1e-3, 1.0, 1e6):
@@ -92,11 +75,27 @@ def _subspace_edges(u_dir, perp_dir):
     return np.array(rows)
 
 
+# Rows on both sides of each domain edge of the functions of FUNCTIONS: the
+# entropies get zeros, tiny and huge magnitudes of both signs and the Shannon
+# conjugate's exp ceiling at 690; the subspace gets points of U and of U-perp
+# moved off them (_subspace_edges)
+_ENTROPY_EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, -745.0]
+    + [689.9, 690.0, np.nextafter(690.0, np.inf), 700.0]
+)[:, None]
+EDGES = {
+    "energy:dim=3": np.empty((0, 3)),
+    "subspace": _subspace_edges(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, -1.0])),
+    "burg": _ENTROPY_EDGES,
+    "shannon": _ENTROPY_EDGES,
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_value_kernels_rows_equal_public_calls(name, rng):
     f = FUNCTIONS[name]()
-    x = np.vstack([_points(rng, f.dim), _edge_rows(f)])
+    x = np.vstack([_points(rng, f.dim), EDGES[name]])
     for g in (f, conjugate_function(f)):
         for public, kernel in ((g.value, g.value_kernel), (g.conjugate, g.conjugate_kernel)):
             stacked = kernel(x)
@@ -105,13 +104,15 @@ def test_value_kernels_rows_equal_public_calls(name, rng):
             assert stacked.tobytes() == want.tobytes()
             # one point is a stack of one
             assert np.ndim(kernel(x[-1])) == 0
-    if f.name == "subspace":
-        # half the tolerance off U (or U-perp) is in, twice is out
-        edges = _edge_rows(f)
-        assert (f.value_kernel(edges[0::4]) == 0.0).all()
-        assert (f.value_kernel(edges[1::4]) == np.inf).all()
-        assert (f.conjugate_kernel(edges[2::4]) == 0.0).all()
-        assert (f.conjugate_kernel(edges[3::4]) == np.inf).all()
+
+
+def test_subspace_membership_splits_at_the_tolerance():
+    # half the tolerance off U (or U-perp) is in, twice is out
+    f, edges = FUNCTIONS["subspace"](), EDGES["subspace"]
+    assert (f.value_kernel(edges[0::4]) == 0.0).all()
+    assert (f.value_kernel(edges[1::4]) == np.inf).all()
+    assert (f.conjugate_kernel(edges[2::4]) == 0.0).all()
+    assert (f.conjugate_kernel(edges[3::4]) == np.inf).all()
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))
@@ -153,8 +154,7 @@ def _one_point_rows(name, rng):
     """(gammas, points): _points, the edge rows of the function an operator
     path comes from, and the operator's rows in OVERFLOW_ROWS."""
     op = OPERATORS[name]
-    base = FUNCTIONS.get(name.split("/")[0])
-    edges = np.empty((0, op.dim)) if base is None else _edge_rows(base())
+    edges = EDGES.get(name.split("/")[0], np.empty((0, op.dim)))
     z = np.vstack([_points(rng, op.dim), edges])
     overflow = OVERFLOW_ROWS.get(name, [])
     g = np.concatenate([_gammas(rng, len(z)), [gamma for gamma, _ in overflow]])
@@ -178,7 +178,7 @@ def test_one_point_resolvent_equals_a_stack_of_one(name, rng):
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
 def test_one_point_gap_equals_a_stack_of_one(name, rng):
     f = FUNCTIONS[name]()
-    x = np.vstack([_points(rng, f.dim), _edge_rows(f)])
+    x = np.vstack([_points(rng, f.dim), EDGES[name]])
     pairs = [(x, rng.permutation(x))]
     if f.gradient is not None:
         # near the graph, where the entropies take their series branches
@@ -212,7 +212,7 @@ def test_subspace_gap_is_the_sum_of_its_indicators(rng):
     plane, line = (catalog.make_subspace_indicator(basis) for basis in BASES[:2])
     line_edges = _subspace_edges(np.array([1.0, 2.0, 3.0]), np.array([3.0, 0.0, -1.0]))
     with np.errstate(over="ignore"):  # row_norm warns where the 1e200 rows square past the range
-        for f, edges in ((plane, _edge_rows(plane)), (line, line_edges)):
+        for f, edges in ((plane, EDGES["subspace"]), (line, line_edges)):
             edges = np.vstack([edges, huge])
             x = np.repeat(edges, len(edges), axis=0)
             x_star = np.tile(edges, (len(edges), 1))

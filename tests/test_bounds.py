@@ -614,27 +614,43 @@ def test_stacked_chain_violation_names_its_first_failing_row(energy2):
 # ------------------------------------------------------------------- csv
 
 
-def test_csv_round_trip(energy2, burg):
+def assert_cells_give_back_the_report(rep):
     # each scalar cell is repr(float(v)), empty for None and true/false for a
     # flag, a vector its ;-joined entries; float(cell) gives back every bit
-    reports = [
-        bound_report(energy2, 0.1, [1.0 / 3.0, math.pi], [math.e, 2.0 / 7.0]),
-        dataclasses.replace(bound_report(energy2, 1.0, X1, XSTAR1), fitzpatrick=None),
-        bound_report(burg, 1.0, [-1.0], [-1.0]),  # x off dom f: the gap is +inf
-    ]
-    assert reports[2].gap == INF
-    for rep in reports:
-        row = report_to_csv_row(rep)
-        assert len(row) == len(BOUND_CSV_HEADER)
-        for name, got in zip(BOUND_CSV_HEADER, row):
-            value = getattr(rep, name)
-            if value is None:
-                assert got == ""
-            elif isinstance(value, bool):
-                assert got == ("true" if value else "false")
-            elif isinstance(value, np.ndarray):
-                assert got == ";".join(repr(float(c)) for c in value)
-                assert bits(np.array([float(c) for c in got.split(";")])) == bits(value)
-            else:
-                assert got == repr(float(value))
-                assert bits(float(got)) == bits(float(value))
+    row = report_to_csv_row(rep)
+    assert len(row) == len(BOUND_CSV_HEADER)
+    for name, got in zip(BOUND_CSV_HEADER, row):
+        value = getattr(rep, name)
+        if value is None:
+            assert got == ""
+        elif isinstance(value, bool):
+            assert got == ("true" if value else "false")
+        elif isinstance(value, np.ndarray):
+            assert got == ";".join(repr(float(c)) for c in value)
+            assert bits(np.array([float(c) for c in got.split(";")])) == bits(value)
+        else:
+            assert got == repr(float(value))
+            assert bits(float(got)) == bits(float(value))
+
+
+def test_csv_round_trip(energy2):
+    assert_cells_give_back_the_report(bound_report(energy2, 1.0, X1, XSTAR1))
+
+
+def test_csv_round_trip_infinite_gap(burg):
+    rep = bound_report(burg, 1.0, [-1.0], [-1.0])  # x off dom f: the gap is +inf
+    assert rep.gap == INF
+    assert_cells_give_back_the_report(rep)
+    assert report_to_csv_row(rep)[BOUND_CSV_HEADER.index("gap")] == "inf"
+
+
+def test_csv_round_trip_absent_fitzpatrick(energy2):
+    rep = dataclasses.replace(bound_report(energy2, 1.0, X1, XSTAR1), fitzpatrick=None)
+    assert_cells_give_back_the_report(rep)
+    assert report_to_csv_row(rep)[BOUND_CSV_HEADER.index("fitzpatrick")] == ""
+
+
+def test_csv_preserves_full_precision(energy2):
+    assert_cells_give_back_the_report(
+        bound_report(energy2, 0.1, [1.0 / 3.0, math.pi], [math.e, 2.0 / 7.0])
+    )

@@ -306,7 +306,7 @@ def main(argv=None):
         # answer, so the CLI does not warn of it
         with np.errstate(over="ignore"):
             return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,20 +4,20 @@ Each suite hammers one contract (chain ordering, duality, Minty
 identities, the pair inequality, oracle agreement) on reproducible
 random inputs.  ``slack`` overrides every per-check tolerance at once;
 it must be finite and >= 0.  Passing 0.0 is the supported way to prove
-that the chain, duality, Minty and oracle suites can fail.  The pair
-suite passes at 0.0: its random pairs meet the inequality outright, and
-its energy cross-graph pairs compute both sides as the same bits.
+that every suite can fail.  The pair suite checks every function entry
+the same way: random pairs must meet the inequality, and crossed pairs of
+graph points must meet it with equality.
 
-The suites evaluate stacks.  Each catalog entry draws all of its inputs
-as one block, in the order a loop over single points would draw them, maps
+The suites evaluate stacks.  Each catalog entry draws its inputs in
+blocks, in the order a loop over single points would draw them, maps
 primal rows into dom df and dual rows into ran df by its kernels'
-``domain_points`` (no suite knows a function's sets by its name, and no
-chain gap or pair side is +inf), repeats each point once per gamma of
-``GAMMA_SET``, and passes the stacks to the public ``bounds`` functions, the
-catalog kernels and, for the oracle's conjugate queries, one shared grid.
-Every check of the per-point loops is kept, so the counts and the failure
-messages are theirs; a message is formatted only for a failure that gets
-reported, from the one-point call where there is one.
+``domain_points``, or into gr df by ``minty_decompose`` (no suite knows a
+function's sets by its name, and no chain gap or pair side is +inf),
+repeats each point once per gamma of ``GAMMA_SET``, and passes the stacks
+to the public ``bounds`` functions, the catalog kernels and, for the
+oracle's conjugate queries, one shared grid.  The checks count and report
+as a loop over single points would; a message is formatted only for a
+failure that gets reported, from the one-point call where there is one.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def run_minty_suite(rng, slack=None):
 def run_pair_suite(rng, slack=None):
     result = SuiteResult("pair-inequality")
     s = _pick(slack, 1e-9)
-    for f in [make_energy(2), make_burg(), make_shannon()]:
+    for f in function_entries():
         draws = rng.normal(size=(50, 4, f.dim))
         x, y = map(f.value_kernel.domain_points, (draws[:, 0], draws[:, 1]))
         x_star, y_star = map(f.conjugate_kernel.domain_points, (draws[:, 2], draws[:, 3]))
@@ -210,27 +210,25 @@ def run_pair_suite(rng, slack=None):
 
         result.record(ok, message)
 
-    # cross-graph points of the energy: y* = x and x* = y force equality,
-    # and equality must certify both graph memberships
-    energy = make_energy(2)
-    op = subdifferential_operator(energy)
-    draws = rng.normal(size=(20, 2, 2))
-    x, y = draws[:, 0], draws[:, 1]
-    lhs, rhs = pair_inequality_check(energy, x, y, y, x)
-    equal = np.abs(lhs - rhs) <= s * (1.0 + np.abs(rhs))
-    member = op.graph_kernel(x, x) & op.graph_kernel(y, y)
+        # the equality case: (a, a*) and (b, b*), the Minty pairs of two
+        # normal draws, lie in gr df, so the crossed pair (a, b*), (b, a*)
+        # meets the inequality with equality
+        A = subdifferential_operator(f)
+        draws = rng.normal(size=(40, 2, f.dim))
+        pair = minty_decompose(A, 1.0, draws[:, 0], draws[:, 1])
+        member = A.graph_kernel(pair.a, pair.a_star)
+        a, b, a_star, b_star = pair.a[::2], pair.a[1::2], pair.a_star[::2], pair.a_star[1::2]
+        lhs, rhs = pair_inequality_check(f, a, b_star, b, a_star)
 
-    def label(r):
-        return f"energy equality case x={x[r].tolist()} y={y[r].tolist()}"
+        def label(r):
+            return f"{f.name} equality case x={a[r].tolist()} y={b[r].tolist()}"
 
-    def unequal(r):
-        lhs_r, rhs_r = pair_inequality_check(energy, x[r], y[r], y[r], x[r])
-        return f"{label(r)}: lhs={lhs_r!r} rhs={rhs_r!r}"
+        def unequal(r):
+            lhs_r, rhs_r = pair_inequality_check(f, a[r], b_star[r], b[r], a_star[r])
+            return f"{label(r)}: lhs={lhs_r!r} rhs={rhs_r!r}"
 
-    # member holds on every row (energy's gap at (x, x) is 0): no report moves
-    rows = np.flatnonzero(equal)
-    result.record(equal, unequal)
-    result.record(member[rows], lambda i: f"{label(rows[i])}: membership lost")
+        result.record(np.abs(lhs - rhs) <= s * (1.0 + np.abs(rhs)), unequal)
+        result.record(member[::2] & member[1::2], lambda r: f"{label(r)}: membership lost")
     return result
 
 
@@ -256,7 +254,7 @@ def oracle_comparison(f, rng, count, slack=None):
     s_prox = _pick(slack, ORACLE_PROX_SLACK)
     queries = conjugate_queries(f, rng, count)
     closed = [f.conjugate(x_star) for x_star in queries]
-    est = numeric_conjugate(f, np.reshape(queries, (-1, f.dim)))
+    est = numeric_conjugate(f, queries)
     conj = [
         (q, c, e, not e.on_boundary and abs(e.value - c) <= s_conj * (1.0 + abs(c)))
         for q, c, e in zip(queries, closed, est)

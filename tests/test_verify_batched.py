@@ -3,8 +3,9 @@
 ``run_all`` must give, for seeds 0-19 at three slacks, the SuiteResults
 (counts and byte-identical failure messages) and the generator states
 after each suite that ``tests/data/verify_records.json`` holds.  The
-per-point suites wrote them: plain loops over the public API that drew one
-point at a time and formatted a message for every check.  The stacked
+per-point suites wrote the first records: plain loops over the public API
+that drew one point at a time and formatted a message for every check;
+``golden.py`` rewrites them after a deliberate change.  The stacked
 conjugate oracle must likewise give the per-query scans' answers in
 ``tests/data/oracle_records.json`` (see ``golden.py``).  The row-wise
 Fitzpatrick and graph kernels, the stacked ``bounds`` calls the suites make,
@@ -46,15 +47,13 @@ def test_record_files_are_what_golden_writes(path):
 
 
 def test_zero_slack_reports_failures():
-    # the records are only as strong as the failures they pin.  The pair
-    # suite passes every check even at slack 0, so its records pin counts only
+    # the records are only as strong as the failures they pin: at slack 0
+    # every suite fails and reports five messages
     for seed in (0, 7):
-        chain, duality, minty, pair, oracle = verify.run_all(seed, 0.0)
-        for result in (chain, duality, minty, oracle):
+        results = verify.run_all(seed, 0.0)
+        for result in results:
             assert result.failed > 0 and len(result.failures) == 5
-        # on seed 0 the oracle matches one Shannon conjugate query exactly
-        assert oracle.failed == (29 if seed == 0 else 30)
-        assert (pair.passed, pair.failed, pair.failures) == (190, 0, [])
+        assert results[-1].failed == 30
 
 
 def test_chain_and_pair_rows_test_finite_sides(monkeypatch):
@@ -78,8 +77,8 @@ def test_chain_and_pair_rows_test_finite_sides(monkeypatch):
     for seed in golden.SEEDS:
         verify.run_all(seed)
     gaps, lhs = np.concatenate(gaps), np.concatenate(lhs)
-    # 4 entries x 50 points x 5 gammas, and 3 x 50 random plus 20 energy pairs
-    assert (gaps.size, lhs.size) == (1000 * len(golden.SEEDS), 170 * len(golden.SEEDS))
+    # 4 entries x 50 points x 5 gammas, and 4 x (50 random + 20 crossed graph) pairs
+    assert (gaps.size, lhs.size) == (1000 * len(golden.SEEDS), 280 * len(golden.SEEDS))
     assert (int(np.count_nonzero(gaps == INF)), int(np.count_nonzero(lhs == INF))) == (0, 0)
 
 

@@ -10,7 +10,8 @@ Neither oracle redoes work whose result is already fixed: a stack of
 conjugate queries evaluates f once per distinct refinement box in each
 round, and the coordinate search skips a search that could only repeat
 the last one on its axis.  Both shortcuts are exact, so every result is
-bit for bit that of the plain per-query, per-sweep loops.
+bit for bit that of the plain per-query, per-sweep loops.  The conjugate
+oracle refills one grid buffer per call and copies out each argmax.
 """
 
 from __future__ import annotations
@@ -46,38 +47,44 @@ class GridMax:
     on_boundary: bool
 
 
-def _grid(lows, highs, n):
-    """The n^dim points of the box, first axis slowest (meshgrid "ij" order)."""
+def _grid(lows, highs, n, points):
+    """Fill the (n^dim, dim) buffer points with the box's grid, first axis slowest ("ij")."""
     dim = len(lows)
-    points = np.empty((n,) * dim + (dim,))
+    cube = points.reshape((n,) * dim + (dim,))
     for i in range(dim):
-        points[..., i] = np.linspace(lows[i], highs[i], n).reshape((-1,) + (1,) * (dim - 1 - i))
-    return points.reshape(-1, dim)
+        cube[..., i] = np.linspace(lows[i], highs[i], n).reshape((-1,) + (1,) * (dim - 1 - i))
 
 
-def _scan(points, values, x_star, lows, highs):
-    """The best grid point for <x, x*> - f(x), given f on the grid."""
-    objective = points @ x_star
+def _scan(points, values, x_star, lows, highs, objective):
+    """The best grid point for <x, x*> - f(x), given f on the grid; the
+    objective is formed in its buffer, and the argmax is a copy."""
+    if len(x_star) == 1:  # + 0.0 turns -0.0 to +0.0, as the one-column gemv does
+        np.multiply(points[:, 0], x_star[0], out=objective)
+        objective += 0.0
+    else:
+        np.matmul(points, x_star, out=objective)
     objective -= values
-    objective[np.isnan(objective)] = -INF
     top = float(np.max(objective))
+    if math.isnan(top):
+        objective[np.isnan(objective)] = -INF
+        top = float(np.max(objective))
     if top == -INF:
-        return top, points[0]
+        return top, points[0].copy()
     # break ties toward the box center so a flat objective does not fake
-    # a boundary incumbent
-    near = objective >= top - 1e-12 * (1.0 + abs(top))
-    center = 0.5 * (lows + highs)
-    cand = points[np.flatnonzero(near)]  # row indices: a mask over rows indexes slowly
-    idx = int(np.argmin(np.sum((cand - center) ** 2, axis=1)))
-    return top, cand[idx]
+    # a boundary incumbent (by row indices: a mask over rows indexes slowly)
+    rows = np.flatnonzero(objective >= top - 1e-12 * (1.0 + abs(top)))
+    row = rows[0]
+    if len(rows) > 1:
+        center = 0.5 * (lows + highs)
+        row = rows[np.argmin(np.sum((points[rows] - center) ** 2, axis=1))]
+    return top, points[row].copy()
 
 
-def _scan_box(f, queries, lows, highs, n):
-    """_scan on the grid of the box for each query of a list; f is
-    evaluated on the grid once."""
-    points = _grid(lows, highs, n)
+def _scan_box(f, queries, lows, highs, n, points, objective):
+    """_scan on the box's grid, written to points, for each query; f is evaluated once."""
+    _grid(lows, highs, n, points)
     values = f.value_kernel(points)
-    return [_scan(points, values, q, lows, highs) for q in queries]
+    return [_scan(points, values, q, lows, highs, objective) for q in queries]
 
 
 def numeric_conjugate(f, x_star):
@@ -95,8 +102,9 @@ def numeric_conjugate(f, x_star):
     share one evaluation of f on that box (tied incumbents, as on a flat
     objective, give such boxes).  A query's box depends only on its own
     incumbent, and a shared box is the same grid with the same f values,
-    so each result equals the one-point call on its query.  One box and
-    its values are alive at a time.  An empty stack gives [] and no grid.
+    so each result equals the one-point call on its query.  One grid
+    buffer and one objective buffer serve the call: each box refills
+    them, and each argmax is a copy.  An empty stack gives [] and no grid.
     """
     one = np.ndim(x_star) != 2
     if not one and len(x_star) == 0:
@@ -105,8 +113,9 @@ def numeric_conjugate(f, x_star):
         raise ValueError(f"numeric_conjugate supports dim <= 2, got {f.dim}")
     queries = [as_vector(q, f.dim, "x_star") for q in ([x_star] if one else x_star)]
     n = POINTS_PER_AXIS[f.dim]
+    buffers = np.empty((n**f.dim, f.dim)), np.empty(n**f.dim)  # grid points, objective
 
-    best = _scan_box(f, queries, np.full(f.dim, LO), np.full(f.dim, HI), n)
+    best = _scan_box(f, queries, np.full(f.dim, LO), np.full(f.dim, HI), n, *buffers)
     half_width = 0.5 * (HI - LO)
     for _ in range(REFINE_ROUNDS):
         half_width /= 10.0
@@ -117,7 +126,7 @@ def numeric_conjugate(f, x_star):
             key = (box_lo.tobytes(), box_hi.tobytes())
             boxes.setdefault(key, (box_lo, box_hi, []))[2].append(i)
         for box_lo, box_hi, members in boxes.values():
-            scans = _scan_box(f, [queries[i] for i in members], box_lo, box_hi, n)
+            scans = _scan_box(f, [queries[i] for i in members], box_lo, box_hi, n, *buffers)
             for i, (val, arg) in zip(members, scans):
                 if val > best[i][0]:
                     best[i] = (val, arg)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import bits
 
+from proxgap import verify
 from proxgap.bounds import carlier_bound, minty_decompose
-from proxgap.catalog import subdifferential_operator
+from proxgap.catalog import make_shannon, subdifferential_operator
 from proxgap.oracle import numeric_conjugate, numeric_prox, sampled_fitzpatrick
 
 
@@ -58,8 +61,6 @@ def test_conjugate_rejects_high_dimension():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_conjugate_empty_stack_builds_no_grid(dim):
-    import dataclasses
-
     from proxgap.catalog import make_energy
 
     f = make_energy(dim)
@@ -67,6 +68,52 @@ def test_conjugate_empty_stack_builds_no_grid(dim):
     counted = dataclasses.replace(f, value_kernel=lambda x: calls.append(x) or f.value_kernel(x))
     assert numeric_conjugate(counted, np.zeros((0, dim))) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["energy2", "burg"])
+def test_conjugate_stack_argmaxes_own_their_data(request, name):
+    # the grid buffer is refilled box after box, so a view into it would
+    # be overwritten by the next box's points
+    f = request.getfixturevalue(name)
+    stack = verify.conjugate_queries(f, np.random.default_rng(3), 5)
+    results = numeric_conjugate(f, stack)
+    assert len(results) == 5
+    for q, got in zip(stack, results):
+        assert got.argmax.flags.owndata
+        assert bits(got) == bits(numeric_conjugate(f, q))
+
+
+def test_one_axis_conjugate_keeps_positive_zero():
+    # at x = 0 the product 0 * -50 is -0.0; the objective there reads +0.0,
+    # as a one-column matrix-vector product gives it
+    res = numeric_conjugate(make_shannon(), np.array([-50.0]))
+    assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+    assert np.array_equal(res.argmax, [0.0])
+
+
+def _with_fill(f, fill, where):
+    """f with its values replaced by fill where ``where(x)`` holds."""
+    return dataclasses.replace(
+        f, value_kernel=lambda x: np.where(where(x), fill, f.value_kernel(x))
+    )
+
+
+def test_conjugate_nan_values_scan_as_infinite(energy2):
+    # NaN objectives are masked to -inf, so NaN values off the half-plane
+    # x_0 >= -1 must give the bits of +inf values there
+    stack = np.array([[-3.0, 0.5], [1.0, 2.0], [0.0, -1.5]])
+    with_nan = numeric_conjugate(_with_fill(energy2, np.nan, lambda x: x[:, 0] < -1.0), stack)
+    with_inf = numeric_conjugate(_with_fill(energy2, math.inf, lambda x: x[:, 0] < -1.0), stack)
+    assert [bits(r) for r in with_nan] == [bits(r) for r in with_inf]
+    assert with_nan[0].argmax[0] == -1.0
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["energy2", "burg"])
+def test_conjugate_rejects_objective_that_is_never_finite(request, name, fill):
+    f = _with_fill(request.getfixturevalue(name), fill, lambda x: True)
+    with pytest.raises(ValueError, match="^objective is -inf on the entire grid$"):
+        numeric_conjugate(f, np.ones(f.dim))
 
 
 # -------------------------------------------------------------- proxes

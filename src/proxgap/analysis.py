@@ -46,9 +46,10 @@ def _classify_window(values_toward_limit):
     """Classify from sweep values ordered nearest-the-limit first."""
     window = np.asarray(values_toward_limit[:WINDOW], dtype=float)
     v = float(window[0])
-    if float(np.max(window) - np.min(window)) < CONVERGE_RANGE_TOL * (1.0 + abs(v)):
+    # on Python floats inf - inf is NaN with no numpy warning; NaN fails both tests
+    if float(np.max(window)) - float(np.min(window)) < CONVERGE_RANGE_TOL * (1.0 + abs(v)):
         return LimitClass(KIND_CONVERGES, v)
-    increasing = bool(np.all(np.diff(window) < 0.0))
+    increasing = bool(np.all(window[1:] < window[:-1]))
     if bool(np.all(window > DIVERGE_THRESHOLD)) and increasing:
         return LimitClass(KIND_DIVERGES)
     return LimitClass(KIND_UNDETERMINED)

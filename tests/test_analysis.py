@@ -252,6 +252,26 @@ def test_classifiers_validate_each_argument_once(monkeypatch, energy2):
     assert names == ["x", "x_star"]
 
 
+def test_a_window_of_nan_or_infinite_values_is_undetermined_without_warning(rotator):
+    # every C is +inf at this point, so the window's range is inf - inf = NaN and
+    # no value falls below the next; that window, and every window holding a NaN,
+    # is undetermined, with no numpy warning
+    x, x_star = [1e300, 1e300], [1e300, -1e300]
+    with np.errstate(over="ignore"):  # the squared norms overflow to +inf
+        sweep = gamma_sweep(rotator, x, x_star, count=5)
+        zero = classify_limit_zero(rotator, x, x_star)
+    undetermined = LimitClass("undetermined")
+    assert sweep.values.tolist() == [math.inf] * 5
+    assert sweep.limit_zero == sweep.limit_infinity == zero.empirical == undetermined
+    converging, diverging = [2.0] * 5, [1e14, 1e13, 1e12, 1e11, 1e10]
+    assert analysis._classify_window(converging) == LimitClass("converges", 2.0)
+    assert analysis._classify_window(diverging) == LimitClass("diverges")
+    for window in (converging, diverging, [math.inf] * 5):
+        for i in range(5):
+            holed = window[:i] + [math.nan] + window[i + 1 :]
+            assert analysis._classify_window(holed) == undetermined
+
+
 # ----------------------------------------------------- boundary regressions
 
 

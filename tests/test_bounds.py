@@ -447,6 +447,18 @@ def test_bound_report_infinite_gap_finite_carlier(burg):
     assert chain_violation(rep) is None
 
 
+# x = (1.5e308, 1.5e308, 0) lies in U = span{(1, 1, 0)}, so P x = x is finite,
+# but z Q^T overflows to +inf in the projector and inf * 0 gives NaN: the
+# Carlier value is NaN where it is 0 (ROADMAP items 1 and 16)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="projector overflow")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_bound_report_projects_a_huge_member_of_the_subspace():
+    f = catalog.parse_spec("subspace:dim=3:basis=1,1,0")
+    rep = bound_report(f, 1.0, [1.5e308, 1.5e308, 0.0], [0.0, 0.0, 0.0])
+    assert not math.isnan(rep.carlier)
+
+
 def _reference_members(f, gamma, x, x_star):
     """``within_membership`` on the gap rows (x, x*), (a, x*) and (x, a*)."""
     x, x_star = np.asarray(x, dtype=float), np.asarray(x_star, dtype=float)

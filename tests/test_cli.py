@@ -563,6 +563,21 @@ def test_series_non_finite_z_is_one_error_line(capsys, spec, vector):
     assert err == "error: z = x + gamma*a_star has non-finite entries in the cyclic recursion\n"
 
 
+def test_series_nan_bound_exits_2(capsys, monkeypatch):
+    # a NaN prox makes the first term and the bound NaN, which no finite
+    # gap bounds; the comparison that skips a +inf gap once passed it
+    energy = catalog.make_energy(2)
+    nan = dataclasses.replace(energy, prox_kernel=lambda g, z: np.full_like(z, math.nan), prox=None)
+    monkeypatch.setattr(catalog, "parse_spec", lambda spec: nan)
+    code, out, err = run_cli(
+        capsys,
+        "series", "--spec", "energy:dim=2", "--x", "1,0", "--xstar", "0,1", "--n-terms", "1",
+    )
+    assert code == 2
+    assert out.splitlines()[-3:] == ["carlier (term 1) = nan", "partial_sum[1] = nan", "gap = 1.0"]
+    assert err == "contract violation: series bound nan is not a number\n"
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -707,51 +722,73 @@ def _printed(message, key):
 
 def test_planted_faults_reach_every_failure_message(capsys, monkeypatch):
     # each fault fails one kind of check; every reported message must hold
-    # the values of the public per-point call on the faulty entry
-    pair_calls = []
+    # the values of the public per-point call on the faulty entry at the
+    # inputs the message prints (the pair suite's rows that print as its x and y)
+    stacks = []
 
-    def pair_check(*args):
-        sides = bounds.pair_inequality_check(*args)
-        if np.ndim(args[1]) == 1:  # the one-point calls that format messages, not the stacks
-            pair_calls.append((args, sides))
-        return sides
+    def pair_check(f, *points):
+        stacks.append((f, *points))
+        return bounds.pair_inequality_check(f, *points)
 
     monkeypatch.setattr(verify, "pair_inequality_check", pair_check)
 
-    def pair_suite(factory, **fields):
-        pair_calls.clear()
+    def faulty_suite(run, factory, **fields):
+        stacks.clear()
         make = getattr(catalog, factory)
         monkeypatch.setattr(verify, factory, lambda *a: dataclasses.replace(make(*a), **fields))
-        suite = verify.run_pair_suite(np.random.default_rng(7))
+        suite = run(np.random.default_rng(7))
         monkeypatch.setattr(verify, factory, make)
         assert suite.failed >= 5 and len(suite.failures) == 5
         return suite
 
-    # negative Burg gaps break the pair inequality
+    def one_point_pair(message):
+        x, y = _printed(message, "x"), _printed(message, "y")
+        (row,) = [
+            (f, xs[r], x_stars[r], ys[r], y_stars[r])
+            for f, xs, x_stars, ys, y_stars in stacks
+            for r in range(len(xs))
+            if xs[r].tolist() == x and ys[r].tolist() == y
+        ]
+        return row[0], x, y, bounds.pair_inequality_check(*row)
+
+    # negated Burg gaps fall below the Carlier bound in the chain
     gaps = {f.name: f.gap_kernel for f in verify.function_entries()}
-    suite = pair_suite("make_burg", gap_kernel=lambda x, s: -1.0 - gaps["burg"](x, s))
-    assert len(pair_calls) == 5
-    for message, ((f, x, _, y, _), (lhs, rhs)) in zip(suite.failures, pair_calls):
+    negated = dataclasses.replace(catalog.make_burg(), gap_kernel=lambda x, s: -gaps["burg"](x, s))
+    suite = faulty_suite(verify.run_chain_suite, "make_burg", gap_kernel=negated.gap_kernel)
+    for message in suite.failures:
+        gamma, x, x_star = (_printed(message, key) for key in ("gamma", "x", "x_star"))
+        rep = bounds.bound_report(negated, gamma, x, x_star)
+        assert rep.carlier > rep.gap and rep.fitzpatrick is None
+        label = f"burg gamma={gamma} x={x} x_star={x_star}"
+        assert message == f"{label}: gap={rep.gap!r} fitz=None carlier={rep.carlier!r}"
+
+    # negative Burg gaps break the pair inequality
+    suite = faulty_suite(
+        verify.run_pair_suite, "make_burg", gap_kernel=lambda x, s: -1.0 - gaps["burg"](x, s)
+    )
+    for message in suite.failures:
+        f, x, y, (lhs, rhs) = one_point_pair(message)
         assert lhs < rhs and f.name == "burg"
-        assert message == f"burg x={x.tolist()} y={y.tolist()}: lhs={lhs!r} rhs={rhs!r}"
+        assert message == f"burg x={x} y={y}: lhs={lhs!r} rhs={rhs!r}"
 
     # doubled gaps keep it, but not its equality case: the 20 crossed graph
     # pairs (a, b*), (b, a*) of each entry, reported with a and b as x and y
     for name in ("energy", "burg", "shannon"):
-        suite = pair_suite(f"make_{name}", gap_kernel=lambda x, s: 2.0 * gaps[name](x, s))
-        assert (suite.passed, suite.failed) == (340, 20) and len(pair_calls) == 5
-        for message, ((f, x, _, y, _), (lhs, rhs)) in zip(suite.failures, pair_calls):
+        suite = faulty_suite(
+            verify.run_pair_suite, f"make_{name}", gap_kernel=lambda x, s: 2.0 * gaps[name](x, s)
+        )
+        assert (suite.passed, suite.failed) == (340, 20)
+        for message in suite.failures:
+            _, x, y, (lhs, rhs) = one_point_pair(message)
             assert lhs == pytest.approx(2.0 * rhs, rel=1e-12)
-            label = f"{name} equality case x={x.tolist()} y={y.tolist()}"
-            assert message == f"{label}: lhs={lhs!r} rhs={rhs!r}"
+            assert message == f"{name} equality case x={x} y={y}: lhs={lhs!r} rhs={rhs!r}"
 
     # a gap of 1 where x* = x keeps the equality of the energy's crossed pairs
     # (a, b), (b, a), but takes its graph points (a, a) and (b, b) off the graph
     def off_diagonal(x, s):
         return gaps["energy"](x, s) + (x == s).all(axis=-1)
 
-    suite = pair_suite("make_energy", gap_kernel=off_diagonal)
-    assert pair_calls == []
+    suite = faulty_suite(verify.run_pair_suite, "make_energy", gap_kernel=off_diagonal)
     op = catalog.subdifferential_operator(
         dataclasses.replace(catalog.make_energy(2), gap_kernel=off_diagonal)
     )
@@ -760,11 +797,27 @@ def test_planted_faults_reach_every_failure_message(capsys, monkeypatch):
         assert not op.graph_contains(x, x) and not op.graph_contains(y, y)
         assert message == f"energy equality case x={x} y={y}: membership lost"
 
+    # an inverse resolvent moved by 1 breaks the duality law
+    entries = verify.operator_entries()
+    inverse = entries[0].inverse()
+    moved_inverse = dataclasses.replace(
+        inverse, resolvent=None, resolvent_kernel=lambda mu, w: inverse.resolvent_kernel(mu, w) + 1
+    )
+    shifted = dataclasses.replace(entries[0], inverse_factory=lambda: moved_inverse)
+    monkeypatch.setattr(verify, "operator_entries", lambda: [shifted])
+    suite = verify.run_duality_suite(np.random.default_rng(7))
+    assert suite.failed >= 5 and len(suite.failures) == 5
+    for message in suite.failures:
+        gamma, x, x_star = (_printed(message, key) for key in ("gamma", "x", "x_star"))
+        lhs, rhs = bounds.dual_carlier_check(shifted, gamma, x, x_star)
+        assert lhs != rhs
+        label = f"{shifted.name} gamma={gamma} x={x} x_star={x_star}"
+        assert message == f"{label}: lhs={lhs!r} rhs={rhs!r}"
+
     # an empty graph fails every (a, a*) of the Minty suite
     def empty(x, x_star):
         return np.zeros(x.shape[:-1], bool)
 
-    entries = verify.operator_entries()
     faulty = [dataclasses.replace(A, graph_kernel=empty) for A in entries]
     monkeypatch.setattr(verify, "operator_entries", lambda: faulty)
     suite = verify.run_minty_suite(np.random.default_rng(7))
